@@ -4,7 +4,7 @@ import numpy as np
 
 from .estimators import (ADAPTIVE_OMEGA, INTERP_DAGGER, RIDGE_LAMBDA,
                          InfoMatrix, info_matrix_adaptive)
-from .linalg import min_eig, pinv, solve_spd, sym
+from .linalg import cho_spd, solve_spd, solve_spd_checked, sym
 
 FIXED_INTERP = "fixed_interp"
 FIXED_RIDGE = "fixed_ridge"
@@ -68,7 +68,9 @@ def fixed_ridge_ellipsoid(estimate, W_lambda, delta):
 
 
 def _logdet_spd(a):
-    c = np.linalg.cholesky(sym(a))
+    c, _ = cho_spd(a)
+    if c is None:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
     return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
@@ -138,10 +140,8 @@ def interval(e, direction):
     u = np.asarray(direction, dtype=float).reshape(-1)
     if not np.any(u):
         raise ValueError("direction must be nonzero")
-    M = sym(e.metric.matrix)
-    w = np.linalg.eigvalsh(M)
-    if w.min() <= 1e-12 * max(w.max(), 1e-300):
-        raise ValueError("singular metric: interval unbounded")
-    half = e.radius * float(np.sqrt(u @ solve_spd(M, u)))
+    Minv_u = solve_spd_checked(e.metric.matrix, u,
+                               "singular metric: interval unbounded")
+    half = e.radius * float(np.sqrt(u @ Minv_u))
     mid = float(u @ e.center)
     return mid - half, mid + half

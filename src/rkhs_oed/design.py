@@ -8,8 +8,9 @@ import itertools
 import numpy as np
 
 from .confidence import fixed_interp_ellipsoid, l2_error_bound, xi
-from .estimators import info_matrix_interp, weighted_info_matrix
-from .functionals import FunctionalFamily, LinearFunctional, gradient_functional
+from .estimators import (_ridge_solves, _weighted_info_matrices,
+                         info_matrix_interp, weighted_info_matrix)
+from .functionals import FunctionalFamily, gradient_functional
 from .features import PriorOperator, evaluate_design_matrix
 from .linalg import solve_spd, sym
 
@@ -80,23 +81,33 @@ def evaluate_objective(obj, alloc_or_X, eta=None):
     """Objective value at an allocation; min over the gamma grid when robust.
 
     An unidentifiable design under the interpolation estimator returns -inf
-    rather than raising.
+    rather than raising, and so does an eta off the probability simplex.
     """
     if eta is None:
         X_S, eta = alloc_or_X.X, alloc_or_X.eta
     else:
         X_S = np.atleast_2d(np.asarray(alloc_or_X, dtype=float))
-        eta = np.asarray(eta, dtype=float)
-    V0 = obj._v0(X_S.shape[1])
-    vals = []
-    for C in obj._functionals():
-        try:
-            W = weighted_info_matrix(X_S, eta, C, V0, obj.estimator_kind,
-                                     lam=obj.lam, sigma=obj.sigma)
-        except ValueError:
-            return -np.inf
-        vals.append(_scalarize(obj.kind, W.matrix))
-    return min(vals)
+        eta = np.asarray(eta, dtype=float).reshape(-1)
+    if (eta.shape[0] != X_S.shape[0] or np.any(eta < -1e-12)
+            or abs(eta.sum() - 1.0) > 1e-10):
+        return -np.inf
+    return min(_member_values(obj, X_S, eta))
+
+
+def _member_values(obj, X_S, eta):
+    """Scalarized objective of each functional of obj at raw weights eta.
+
+    eta is clipped at 0 and not checked against the simplex (finite
+    differences and counts designs probe off it).  Every value is -inf when
+    the interpolation design is unidentifiable.
+    """
+    Cms = [C.matrix for C in obj._functionals()]
+    try:
+        Ws = _weighted_info_matrices(X_S, eta, Cms, obj._v0(X_S.shape[1]),
+                                     obj.estimator_kind, obj.lam, obj.sigma)
+    except ValueError:
+        return [-np.inf] * len(Cms)
+    return [_scalarize(obj.kind, W.matrix) for W in Ws]
 
 
 # ---------------------------------------------------------------------------
@@ -104,49 +115,37 @@ def evaluate_objective(obj, alloc_or_X, eta=None):
 # ---------------------------------------------------------------------------
 
 def _grad_single(obj, X_S, eta, C, V0):
-    """Gradient of f(W(eta)) wrt eta for one functional; None -> caller FD."""
+    """Gradient of f(W(eta)) wrt eta for one functional; None -> caller FD.
+
+    Both kinds write W^{-1} = M and dM/deta_i = -v_i v_i^T, so the A-gradient
+    is |M^{-1} v_i|^2 and the E-gradient (v_i^T u_top)^2 / w_top^2.
+    """
     Cm = C.matrix
-    if obj.estimator_kind == "ridge":
-        sigma, lam = obj.sigma, obj.lam
-        A = sym(sigma ** 2 * lam * V0.matrix + X_S.T @ (eta[:, None] * X_S))
-        AinvCt = solve_spd(A, Cm.T)              # m x p
-        M = sym(sigma ** 2 * (Cm @ AinvCt))       # W^{-1}
-        Wgrad = X_S @ AinvCt                      # n x p, row i = (C A^{-1} x_i)^T
-        if obj.kind == "A":
-            Minv_w = np.linalg.solve(M, Wgrad.T)  # p x n
-            return sigma ** 2 * np.sum(Minv_w ** 2, axis=0)
-        w, u = np.linalg.eigh(M)
-        if M.shape[0] > 1 and w[-1] - w[-2] < SPECTRAL_GAP_TOL * max(w[-1], 1.0):
-            return None
-        top = u[:, -1]
-        return sigma ** 2 * (Wgrad @ top) ** 2 / w[-1] ** 2
-    # interpolation kind: restrict to the positive sub-support
-    keep = eta > 0
-    Xk = X_S[keep]
-    ek = eta[keep]
-    isq = V0.isqrt()
-    B = Xk @ isq                                  # n+ x m (whitened rows)
-    Ct = Cm @ isq                                 # p x m
-    K0 = sym(B @ B.T)
-    rt = np.sqrt(ek)
-    K = rt[:, None] * K0 * rt[None, :]
-    R = Ct @ B.T                                  # p x n+
-    try:
-        K2inv_rtR = solve_spd(K, solve_spd(K, (rt[:, None] * R.T)))  # n+ x p
-    except np.linalg.LinAlgError:
-        return None
-    M = sym(R @ (rt[:, None] * K2inv_rtR))        # C~ G^+ C~^T = W^{-1}
-    V = (K2inv_rtR.T * rt[None, :]) @ K0          # p x n+, col i = C~ G^+ b_i
     grad = np.zeros_like(eta)
+    if obj.estimator_kind == "ridge":
+        sigma = obj.sigma
+        Xw = np.sqrt(np.clip(eta, 0.0, None))[:, None] * X_S
+        (AinvCt,) = _ridge_solves(Xw, [Cm], V0, obj.lam, sigma)
+        M = sym(sigma ** 2 * (Cm @ AinvCt))
+        V = sigma * (X_S @ AinvCt).T              # col i = sigma C A^{-1} x_i
+        keep = slice(None)
+    else:
+        # interpolation kind: restrict to the positive sub-support, where the
+        # weights L of the weighted rows give M = L L^T, v_i = L[:, i]/sqrt(eta_i)
+        keep = eta > 0
+        rt = np.sqrt(eta[keep])
+        Xw = rt[:, None] * X_S[keep]
+        B = Xw @ V0.inv()
+        L = solve_spd(sym(B @ Xw.T), B @ Cm.T).T  # warns, never raises
+        M = sym(L @ L.T)
+        V = L / rt[None, :]
     if obj.kind == "A":
-        Minv_v = np.linalg.solve(M, V)
-        grad[keep] = np.sum(Minv_v ** 2, axis=0)
+        grad[keep] = np.sum(solve_spd(M, V) ** 2, axis=0)
         return grad
     w, u = np.linalg.eigh(M)
     if M.shape[0] > 1 and w[-1] - w[-2] < SPECTRAL_GAP_TOL * max(w[-1], 1.0):
         return None
-    top = u[:, -1]
-    grad[keep] = (top @ V) ** 2 / w[-1] ** 2
+    grad[keep] = (u[:, -1] @ V) ** 2 / w[-1] ** 2
     return grad
 
 
@@ -155,30 +154,10 @@ def _fd_gradient(obj, X_S, eta, step=FD_STEP):
     for i in range(eta.size):
         e = np.zeros_like(eta)
         e[i] = step
-        up = _objective_unnormalized(obj, X_S, eta + e)
-        dn = _objective_unnormalized(obj, X_S, np.clip(eta - e, 0.0, None))
+        up = min(_member_values(obj, X_S, eta + e))
+        dn = min(_member_values(obj, X_S, eta - e))
         g[i] = (up - dn) / (2 * step)
     return g
-
-
-def _objective_unnormalized(obj, X_S, eta):
-    """f(W(D(eta)^{1/2} X_S)) without the simplex-sum check (for FD probes)."""
-    V0 = obj._v0(X_S.shape[1])
-    vals = []
-    for C in obj._functionals():
-        try:
-            if obj.estimator_kind == "interp":
-                keep = eta > 0
-                Xw = np.sqrt(eta[keep])[:, None] * X_S[keep]
-                W = info_matrix_interp(Xw, C, V0)
-            else:
-                from .estimators import info_matrix_ridge
-                Xw = np.sqrt(np.clip(eta, 0.0, None))[:, None] * X_S
-                W = info_matrix_ridge(Xw, C, V0, obj.lam, obj.sigma)
-        except ValueError:
-            return -np.inf
-        vals.append(_scalarize(obj.kind, W.matrix))
-    return min(vals)
 
 
 def objective_gradient(obj, X_S, eta):
@@ -187,18 +166,9 @@ def objective_gradient(obj, X_S, eta):
     eta = np.asarray(eta, dtype=float)
     V0 = obj._v0(X_S.shape[1])
     functionals = obj._functionals()
-    if len(functionals) == 1:
-        C = functionals[0]
-    else:
-        vals = []
-        for Cg in functionals:
-            try:
-                W = weighted_info_matrix(X_S, eta, Cg, V0, obj.estimator_kind,
-                                         lam=obj.lam, sigma=obj.sigma)
-                vals.append(_scalarize(obj.kind, W.matrix))
-            except ValueError:
-                vals.append(-np.inf)
-        C = functionals[int(np.argmin(vals))]
+    C = functionals[0]
+    if len(functionals) > 1:
+        C = functionals[int(np.argmin(_member_values(obj, X_S, eta)))]
     g = _grad_single(obj, X_S, eta, C, V0)
     if g is None:
         g = _fd_gradient(obj, X_S, eta)
@@ -270,17 +240,6 @@ def mirror_descent_design(obj, support_points, X_S=None, iters=300,
                       objective_value=best_val, trace=trace)
 
 
-def _counts_objective(obj, X_cand, counts):
-    """Objective of the unnormalized counts design (accumulated information)."""
-    from .estimators import info_matrix_ridge
-    Xw = np.sqrt(counts.astype(float))[:, None] * X_cand
-    V0 = obj._v0(X_cand.shape[1])
-    return min(_scalarize(obj.kind,
-                          info_matrix_ridge(Xw, C, V0, obj.lam,
-                                            obj.sigma).matrix)
-               for C in obj._functionals())
-
-
 def greedy_design(obj, candidate_points, budget, X_cand=None,
                   feature_map=None, seed_indices=None):
     """Frank-Wolfe-style greedy: eta_{t+1} = (t eta_t + delta_best)/(t+1).
@@ -314,7 +273,7 @@ def greedy_design(obj, candidate_points, budget, X_cand=None,
     t = int(counts.sum())
     if budget < t:
         raise ValueError(f"budget {budget} below seed size {t}")
-    trace = [_counts_objective(obj, X_cand, counts)]
+    trace = [min(_member_values(obj, X_cand, counts.astype(float)))]
     while t < budget:
         best_j, best_val = -1, -np.inf
         base = counts.astype(float)
@@ -326,7 +285,7 @@ def greedy_design(obj, candidate_points, budget, X_cand=None,
                 best_val, best_j = val, j
         counts[best_j] += 1
         t += 1
-        trace.append(_counts_objective(obj, X_cand, counts))
+        trace.append(min(_member_values(obj, X_cand, counts.astype(float))))
     eta = counts / budget
     return Allocation(candidate_points, X_cand, eta, counts=counts,
                       budget=budget, objective_value=trace[-1], trace=trace)

@@ -4,8 +4,9 @@ matrices (W_dagger, W_lambda, Omega_lambda) and residual covariance bounds."""
 import numpy as np
 
 from .features import PriorOperator
-from .functionals import LinearFunctional, ProjectedData, project_data
-from .linalg import dedupe_rows, inv_spd, pinv, solve_spd, sym
+from .functionals import (LinearFunctional, ProjectedData,
+                          interpolation_weights, project_data)
+from .linalg import dedupe_rows, inv_spd, solve_spd, solve_spd_checked, sym
 
 INTERP_DAGGER = "interp_dagger"
 RIDGE_LAMBDA = "ridge_lambda"
@@ -76,14 +77,9 @@ def interpolate(ds, C):
     """
     if ds.n == 0:
         raise ValueError("empty dataset")
-    Cm = _cmat(C)
     Xu, yu = dedupe_rows(ds.X, ds.y)
-    B = Xu @ ds.V0.inv()
-    K = sym(B @ Xu.T)
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("K = X V0^{-1} X^T singular: design rows dependent")
-    return Cm @ B.T @ solve_spd(K, yu)
+    L, _ = interpolation_weights(C, Xu, ds.V0)
+    return L @ yu
 
 
 def ridge(ds, C):
@@ -99,33 +95,41 @@ def ridge(ds, C):
     return Cm @ B.T @ solve_spd(A, ds.y)
 
 
+def _info_from_weights(L):
+    """W_dagger = (L L^T)^{-1} from interpolation weights L."""
+    return InfoMatrix(solve_spd_checked(
+        L @ L.T, np.eye(L.shape[0]), "functional not identifiable from design"),
+        INTERP_DAGGER)
+
+
 def info_matrix_interp(X, C, V0):
-    """W_dagger = (C V0^{-1} X^T K^{-2} X V0^{-1} C^T)^{-1}."""
-    Cm = _cmat(C)
+    """W_dagger = (C V0^{-1} X^T K^{-2} X V0^{-1} C^T)^{-1} = (L L^T)^{-1}."""
+    return _info_from_weights(interpolation_weights(C, X, V0)[0])
+
+
+def _ridge_solves(X, Cms, V0, lam, sigma):
+    """A^{-1} C^T for each functional matrix C in Cms, where
+    A = sigma^2 lam V0 + X^T X is factorized once."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xu, _ = dedupe_rows(X)
-    B = Xu @ V0.inv()
-    K = sym(B @ Xu.T)
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("K singular: design rows dependent")
-    M = solve_spd(K, B @ Cm.T)            # K^{-1} X V0^{-1} C^T
-    inner = sym(M.T @ M)                  # C V0^{-1} X^T K^{-2} X V0^{-1} C^T
-    si = np.linalg.svd(inner, compute_uv=False)
-    if si[-1] <= 1e-12 * si[0] or si[0] == 0:
-        raise ValueError("functional not identifiable from design")
-    return InfoMatrix(inv_spd(inner), INTERP_DAGGER)
+    if X.shape[0] == 0:
+        X = np.zeros((0, V0.dim))
+    A = sym(sigma ** 2 * lam * V0.matrix + X.T @ X)
+    return np.split(solve_spd(A, np.vstack(Cms).T), _offsets(Cms), axis=1)
+
+
+def _ridge_info_matrices(X, Cms, V0, lam, sigma):
+    """W_lambda for each functional matrix in Cms, sharing one factor of A."""
+    return [InfoMatrix(inv_spd(sym(Cm @ AinvCt)) / sigma ** 2, RIDGE_LAMBDA)
+            for Cm, AinvCt in zip(Cms, _ridge_solves(X, Cms, V0, lam, sigma))]
+
+
+def _offsets(Cms):
+    return np.cumsum([Cm.shape[0] for Cm in Cms])[:-1]
 
 
 def info_matrix_ridge(X, C, V0, lam, sigma):
     """W_lambda = sigma^{-2} (C (sigma^2 lam V0 + X^T X)^{-1} C^T)^{-1}."""
-    Cm = _cmat(C)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        X = np.zeros((0, Cm.shape[1]))
-    A = sym(sigma ** 2 * lam * V0.matrix + X.T @ X)
-    inner = sym(Cm @ solve_spd(A, Cm.T))
-    return InfoMatrix(inv_spd(inner) / sigma ** 2, RIDGE_LAMBDA)
+    return _ridge_info_matrices(X, [_cmat(C)], V0, lam, sigma)[0]
 
 
 def info_matrix_adaptive(pd, lam, sigma):
@@ -148,15 +152,24 @@ def weighted_info_matrix(X_S, eta, C, V0, kind, lam=None, sigma=None):
         raise ValueError("eta length must match support size")
     if np.any(eta < -1e-12) or abs(eta.sum() - 1.0) > 1e-10:
         raise ValueError("eta must lie on the probability simplex")
+    return _weighted_info_matrices(X_S, eta, [_cmat(C)], V0, kind, lam,
+                                   sigma)[0]
+
+
+def _weighted_info_matrices(X_S, eta, Cms, V0, kind, lam=None, sigma=None):
+    """weighted_info_matrix for each functional matrix in Cms, sharing one
+    factorization; eta is clipped at 0 and not checked against the simplex."""
+    eta = np.clip(eta, 0.0, None)
     if kind == "interp":
         keep = eta > 0
         Xw = np.sqrt(eta[keep])[:, None] * X_S[keep]
-        return info_matrix_interp(Xw, C, V0)
+        L, _ = interpolation_weights(np.vstack(Cms), Xw, V0)
+        return [_info_from_weights(Lg) for Lg in np.split(L, _offsets(Cms))]
     if kind == "ridge":
         if lam is None or sigma is None:
             raise ValueError("ridge kind needs lam and sigma")
         Xw = np.sqrt(eta)[:, None] * X_S
-        return info_matrix_ridge(Xw, C, V0, lam, sigma)
+        return _ridge_info_matrices(Xw, Cms, V0, lam, sigma)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -170,23 +183,15 @@ def residual_covariance_bound(X, C, V0, lam, sigma, kind):
             = sigma^2 C (sigma^2 lam V0 + X^T X)^{-1} C^T.
     """
     Cm = _cmat(C)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     if kind == "ridge":
-        A = sym(sigma ** 2 * lam * V0.matrix + X.T @ X)
-        return sym(sigma ** 2 * (Cm @ solve_spd(A, Cm.T)))
+        (AinvCt,) = _ridge_solves(X, [Cm], V0, lam, sigma)
+        return sym(sigma ** 2 * (Cm @ AinvCt))
     if kind != "interp":
         raise ValueError(f"unknown kind {kind!r}")
-    Xu, _ = dedupe_rows(X)
-    B = Xu @ V0.inv()
-    K = sym(B @ Xu.T)
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("K singular: design rows dependent")
-    M = solve_spd(K, B @ Cm.T)
-    variance = sigma ** 2 * sym(M.T @ M)
-    # bias: C V0^{-1/2}(I - P)V0^{-1/2} C^T = C V0^{-1} C^T - C V0^{-1} X^T K^{-1} X V0^{-1} C^T
-    bias = sym(Cm @ V0.inv() @ Cm.T - (B @ Cm.T).T @ M) / lam
-    return sym(variance + bias)
+    L, Xu = interpolation_weights(Cm, X, V0)
+    CV = Cm @ V0.inv()
+    # bias: C V0^{-1/2}(I - P)V0^{-1/2} C^T = C V0^{-1} C^T - L X V0^{-1} C^T
+    return sym(sigma ** 2 * (L @ L.T) + (CV @ Cm.T - L @ Xu @ CV.T) / lam)
 
 
 __all__ = [

@@ -59,9 +59,12 @@ class PriorOperator:
         if matrix is None:
             if dim is None:
                 raise ValueError("need matrix or dim")
+            # the identity's eigenpairs are known; eigh returns exactly these
             matrix = np.eye(int(dim))
-        matrix = sym(np.asarray(matrix, dtype=float))
-        w, u = np.linalg.eigh(matrix)
+            w, u = np.ones(int(dim)), np.eye(int(dim))
+        else:
+            matrix = sym(np.asarray(matrix, dtype=float))
+            w, u = np.linalg.eigh(matrix)
         if w.min() <= 0:
             raise ValueError(
                 f"prior operator must be positive definite, min eig {w.min():.3e}")

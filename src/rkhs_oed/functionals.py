@@ -3,7 +3,7 @@ quantities that govern how well a design can estimate them."""
 
 import numpy as np
 
-from .linalg import dedupe_rows, pinv, solve_spd, sym
+from .linalg import dedupe_rows, pinv, solve_spd_checked, sym
 
 RANK_TOL = 1e-10
 NULLSPACE_TOL = 1e-8
@@ -155,17 +155,17 @@ def contamination_selector(keep, m):
 
 
 def interpolation_weights(C, X, V0):
-    """Minimum-norm estimator weights L = C V0^{-1} X^T K^{-1} (deduped X)."""
+    """Minimum-norm estimator weights L = C V0^{-1} X^T K^{-1} (deduped X).
+
+    Every interpolation quantity derives from L: the estimate L ybar, the
+    information matrix (L L^T)^{-1} and the residual covariance bound.
+    """
     Cm = C.matrix if isinstance(C, LinearFunctional) else np.atleast_2d(C)
     Xu, _ = dedupe_rows(np.atleast_2d(X))
-    V0inv = V0.inv()
-    B = Xu @ V0inv            # n x m
-    K = sym(B @ Xu.T)
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("K = X V0^{-1} X^T is singular after deduplication")
-    L = solve_spd(K, B @ Cm.T).T
-    return L, Xu
+    B = Xu @ V0.inv()            # n x m
+    L = solve_spd_checked(sym(B @ Xu.T), B @ Cm.T,
+                          "K = X V0^{-1} X^T singular: design rows dependent")
+    return L.T, Xu
 
 
 def relative_bias(C, X, V0):
@@ -185,11 +185,9 @@ def project_data(X, C, V0):
     Cm = C.matrix if isinstance(C, LinearFunctional) else np.atleast_2d(C)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     V0inv = V0.inv()
-    G = sym(Cm @ V0inv @ Cm.T)
-    s = np.linalg.svd(G, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("C V0^{-1} C^T is singular")
-    S = sym(np.linalg.inv(G))
+    G = Cm @ V0inv @ Cm.T
+    S = sym(solve_spd_checked(G, np.eye(G.shape[0]),
+                              "C V0^{-1} C^T is singular"))
     Z = X @ V0inv @ Cm.T @ S
     isq = V0.isqrt()
     J = X @ isq - Z @ (Cm @ isq)

@@ -1,17 +1,29 @@
-"""Shared linear-algebra helpers: guarded pseudo-inverses and SPD solves."""
+"""Shared linear-algebra helpers: guarded pseudo-inverses and SPD solves.
+
+Every SPD solve, inverse, log-determinant and rank check of the library goes
+through cho_spd: one LAPACK Cholesky factorization (dpotrf, in numpy) and
+LAPACK's O(n^2) estimate of its reciprocal condition (dpocon); solves reuse
+the factor (dpptrs).  numpy and scipy load separate OpenBLAS copies; with two
+BLAS threads, alternating threaded calls between them made scenarios several
+times slower, so scipy only runs level-2 work, which OpenBLAS does not thread.
+"""
 
 import warnings
 
 import numpy as np
+from scipy.linalg import lapack
 
 # relative singular-value cutoff used by every pseudo-inverse in the package
 PINV_CUTOFF = 1e-12
-# condition number above which SPD solves emit a warning
+# estimated reciprocal condition number at or below which rank checks raise
+RCOND_MIN = 1e-12
+# estimated condition number above which SPD solves emit a warning
 COND_WARN = 1e12
 
 
 class IllConditionedWarning(UserWarning):
-    """Emitted when a solve touches a matrix with condition number > 1e12."""
+    """Emitted when a solve touches a matrix with estimated condition
+    number > 1e12."""
 
 
 def sym(a):
@@ -29,43 +41,67 @@ def pinv(a):
     return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 
+def cho_spd(a):
+    """Lower Cholesky factor of sym(a) and its estimated reciprocal condition.
+
+    rcond is LAPACK's 1-norm estimate of 1 / (||a||_1 ||a^{-1}||_1).
+    Returns (None, 0.0) when a is not numerically positive definite.
+    """
+    a = sym(np.asarray(a, dtype=float))
+    try:
+        c = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None, 0.0
+    rcond, _ = lapack.dpocon(c, np.abs(a).sum(axis=0).max(initial=0.0),
+                             uplo="L")
+    return c, rcond
+
+
+def _cho_solve(c, b):
+    """Solve (c c^T) x = b for the lower Cholesky factor c."""
+    n = c.shape[0]
+    packed = c.T[np.tri(n, dtype=bool).T]       # lower triangle by columns
+    x, _ = lapack.dpptrs(n, packed, b[:, None] if b.ndim == 1 else b, lower=1)
+    return x.reshape(b.shape)
+
+
 def solve_spd(a, b):
     """Solve a @ x = b for symmetric positive definite a.
 
     Uses Cholesky; falls back to an SVD pseudo-solve when the
-    factorization fails.  Conditioning beyond 1e12 produces a warning,
-    never an error.
+    factorization fails.  An estimated condition number beyond 1e12
+    produces a warning, never an error.
     """
-    a = sym(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    cond = _spd_cond(a)
-    if cond > COND_WARN:
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    c, rcond = cho_spd(a)
+    if rcond * COND_WARN < 1.0:
+        cond = np.inf if rcond == 0.0 else 1.0 / rcond
         warnings.warn(
             f"solving system with condition number {cond:.3e}",
             IllConditionedWarning,
             stacklevel=2,
         )
-    try:
-        c = np.linalg.cholesky(a)
-        y = np.linalg.solve(c, b if b.ndim > 0 else b[None])
-        return np.linalg.solve(c.T, y)
-    except np.linalg.LinAlgError:
-        return pinv(a) @ b
+    if c is None:
+        return pinv(sym(np.asarray(a, dtype=float))) @ b
+    return _cho_solve(c, b)
+
+
+def solve_spd_checked(a, b, message):
+    """Solve a @ x = b for SPD a; ValueError(message) when a is singular.
+
+    Singular means the Cholesky factorization fails or the estimated
+    reciprocal condition number is at most RCOND_MIN.
+    """
+    c, rcond = cho_spd(a)
+    if rcond <= RCOND_MIN:
+        raise ValueError(message)
+    return _cho_solve(c, np.asarray(b, dtype=float))
 
 
 def inv_spd(a):
     """Inverse of a symmetric positive definite matrix (Cholesky-backed)."""
     a = np.asarray(a, dtype=float)
     return sym(solve_spd(a, np.eye(a.shape[0])))
-
-
-def _spd_cond(a):
-    w = np.linalg.eigvalsh(sym(a))
-    lo = w.min()
-    hi = w.max()
-    if hi <= 0:
-        return np.inf
-    return np.inf if lo <= 0 else hi / lo
 
 
 def min_eig(a):
@@ -77,21 +113,19 @@ def dedupe_rows(x, y=None):
     """Collapse byte-identical rows of x; y values of duplicates are averaged.
 
     Returns (x_unique, y_avg) preserving first-appearance order; y_avg is
-    None when y is None.
+    None when y is None.  Rows compare by their bytes, so -0.0 and 0.0
+    differ.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=float))
-    seen = {}
-    order = []
-    for i in range(x.shape[0]):
-        key = x[i].tobytes()
-        if key not in seen:
-            seen[key] = []
-            order.append(key)
-        seen[key].append(i)
-    idx_groups = [seen[k] for k in order]
-    xu = np.stack([x[g[0]] for g in idx_groups])
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)             # unique rows by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = rank[inverse]
+    xu = x[first[order]]
     if y is None:
         return xu, None
     y = np.asarray(y, dtype=float)
-    yu = np.array([y[g].mean(axis=0) for g in idx_groups])
-    return xu, yu
+    return xu, np.bincount(group, weights=y) / np.bincount(group)

@@ -4,9 +4,8 @@ import os
 
 import numpy as np
 
-from ..confidence import adaptive_radius, xi
-from ..estimators import ADAPTIVE_OMEGA, InfoMatrix, info_matrix_interp, \
-    info_matrix_ridge
+from ..confidence import xi
+from ..estimators import info_matrix_interp, info_matrix_ridge
 from ..features import PriorOperator
 from ..functionals import LinearFunctional, interpolation_weights, \
     relative_bias

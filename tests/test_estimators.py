@@ -380,6 +380,14 @@ def test_residual_bound_u_shaped_in_step_size():
     assert max(vals[idx + 1:]) > 5 * vals[idx]
 
 
+def test_residual_bound_interp_rejects_dependent_rows():
+    C = LinearFunctional(np.eye(2))
+    V0 = PriorOperator(dim=2)
+    X = np.array([[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError):
+        residual_covariance_bound(X, C, V0, lam=1.0, sigma=0.5, kind="interp")
+
+
 def test_residual_bound_unknown_kind():
     with pytest.raises(ValueError):
         residual_covariance_bound(np.eye(2), LinearFunctional(np.eye(2)),

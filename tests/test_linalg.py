@@ -1,5 +1,7 @@
 """Tests for the shared linear-algebra helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ def test_solve_spd_warns_on_ill_conditioning():
         solve_spd(a, np.ones(2))
 
 
+@pytest.mark.parametrize("n", [2, 5, 20, 60])
+def test_solve_spd_warns_iff_condition_exceeds_1e12(n):
+    # prescribed spectra far from the cutoff on both sides, so the slack of
+    # LAPACK's 1-norm estimate cannot flip the decision
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = rng.standard_normal(n)
+    for cond, warns in [(1.0, False), (1e6, False), (1e10, False),
+                        (1e14, True), (1e16, True)]:
+        a = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_spd(a, b)
+        hits = [w for w in caught
+                if issubclass(w.category, IllConditionedWarning)]
+        assert bool(hits) == warns, (n, cond)
+
+
 def test_solve_spd_singular_falls_back_to_pseudo_solve():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([2.0, 2.0])
@@ -81,6 +101,30 @@ def test_dedupe_rows_without_y():
     xu, yu = dedupe_rows(np.array([[1.0], [1.0], [2.0]]))
     assert np.array_equal(xu, [[1.0], [2.0]])
     assert yu is None
+
+
+def _dedupe_rows_loop(x, y):
+    """Reference: group byte-identical rows in first-appearance order."""
+    groups = {}
+    for i, row in enumerate(x):
+        groups.setdefault(row.tobytes(), []).append(i)
+    idx = list(groups.values())
+    return (np.stack([x[g[0]] for g in idx]),
+            np.array([y[g].mean() for g in idx]))
+
+
+def test_dedupe_rows_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal((5, 3))
+    base[1] = [0.0, 1.0, 2.0]
+    base[2] = [-0.0, 1.0, 2.0]          # differs from row 1 only in its bytes
+    x = base[rng.integers(0, 5, size=40)]
+    y = rng.standard_normal(40)
+    xu, yu = dedupe_rows(x, y)
+    xr, yr = _dedupe_rows_loop(x, y)
+    assert np.array_equal(xu, xr)
+    assert np.array_equal(np.signbit(xu), np.signbit(xr))
+    assert np.allclose(yu, yr, rtol=1e-14, atol=1e-15)
 
 
 def test_dedupe_rows_no_duplicates_is_identity():

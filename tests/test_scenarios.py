@@ -8,6 +8,8 @@ statistical sample sizes used for the headline comparisons.
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -182,6 +184,42 @@ def test_pharma_candidate_objectives_are_distinguishable():
                                              counts / counts.sum()))
     scores = np.array(scores)
     assert (scores.max() - scores.min()) / abs(scores.max()) > 1e-3
+
+
+_PHARMA_GREEDY = """
+import json, warnings
+import numpy as np
+from rkhs_oed.design import greedy_design
+from rkhs_oed.scenarios.config import ScenarioConfig
+from rkhs_oed.scenarios.pharma import design_problem
+warnings.simplefilter("ignore")
+_, cand_times, X_cand, obj, seeds = design_problem(ScenarioConfig("pharma"))
+out = {}
+for n in (4, 6):
+    g = greedy_design(obj, list(cand_times), n, X_cand=X_cand,
+                      seed_indices=seeds)
+    out[n] = [g.counts.tolist(), g.objective_value]
+print(json.dumps(out))
+"""
+
+
+def test_pharma_design_independent_of_blas_threads():
+    # the default pharma design must not be decided by the roundoff of a
+    # particular BLAS thread count
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _PHARMA_GREEDY],
+                              env=env, capture_output=True, text=True,
+                              timeout=600, check=True)
+        results.append(json.loads(proc.stdout))
+    one, two = results
+    for n in ("4", "6"):
+        assert one[n][0] == two[n][0]
+        assert one[n][1] == pytest.approx(two[n][1], rel=1e-8)
 
 
 def test_lyapunov_scenario_smoke(tmp_path):

@@ -3,6 +3,7 @@ quantities that govern how well a design can estimate them."""
 
 import numpy as np
 
+from .features import evaluate_design_matrix
 from .linalg import dedupe_rows, pinv, solve_spd_checked, sym
 
 RANK_TOL = 1e-10
@@ -54,7 +55,7 @@ class ProjectedData:
 def evaluation_functional(feature_map, targets):
     """Rows Phi(target_j)^T: the functional evaluating theta at the targets."""
     targets = list(targets)
-    rows = np.stack([feature_map(t) for t in targets])
+    rows = evaluate_design_matrix(feature_map, targets)
     try:
         return LinearFunctional(rows, label=f"evaluation at {len(targets)} points")
     except ValueError as exc:
@@ -71,11 +72,10 @@ def gradient_functional(feature_map, x):
 
 def integral_functional(feature_map, density, nodes, weights):
     """Quadrature approximation of the 1 x m functional int q(x) Phi(x)^T dx."""
-    nodes = [np.atleast_1d(np.asarray(t, dtype=float)) for t in nodes]
-    weights = np.asarray(weights, dtype=float)
-    row = np.zeros(feature_map.dim)
-    for t, w in zip(nodes, weights):
-        row += w * float(density(t)) * feature_map(t)
+    Phi = evaluate_design_matrix(feature_map, nodes)
+    # density is a function of one point
+    q = np.array([float(density(np.atleast_1d(t))) for t in nodes])
+    row = (np.asarray(weights, dtype=float) * q) @ Phi
     return LinearFunctional(row[None, :], label="integral functional")
 
 

@@ -14,7 +14,7 @@ SCENARIOS = ("gradient", "contamination", "pharma", "lyapunov", "ellipse",
              "coverage")
 
 TOP_LEVEL_KEYS = {"schema", "scenario", "seed", "sigma", "lam", "delta",
-                  "budget", "feature", "functional", "params", "output_dir"}
+                  "params", "output_dir"}
 
 # per-scenario defaults; every key a user may set must appear here
 PARAM_DEFAULTS = {
@@ -86,14 +86,14 @@ PARAM_DEFAULTS = {
     },
 }
 
-# top-level defaults per scenario (sigma, lam, budget)
+# top-level defaults per scenario (sigma, lam, delta)
 TOP_DEFAULTS = {
-    "gradient": {"sigma": 0.01, "lam": 1.0, "delta": 0.1, "budget": 10000},
-    "contamination": {"sigma": 0.5, "lam": 1.0, "delta": 0.1, "budget": 160},
-    "pharma": {"sigma": 0.001, "lam": 0.5, "delta": 0.1, "budget": 12},
-    "lyapunov": {"sigma": 0.05, "lam": 1.0, "delta": 0.1, "budget": 200},
-    "ellipse": {"sigma": 0.5, "lam": 1.0, "delta": 0.1, "budget": 40},
-    "coverage": {"sigma": 0.5, "lam": 1.0, "delta": 0.1, "budget": 2000},
+    "gradient": {"sigma": 0.01, "lam": 1.0, "delta": 0.1},
+    "contamination": {"sigma": 0.5, "lam": 1.0, "delta": 0.1},
+    "pharma": {"sigma": 0.001, "lam": 0.5, "delta": 0.1},
+    "lyapunov": {"sigma": 0.05, "lam": 1.0, "delta": 0.1},
+    "ellipse": {"sigma": 0.5, "lam": 1.0, "delta": 0.1},
+    "coverage": {"sigma": 0.5, "lam": 1.0, "delta": 0.1},
 }
 
 
@@ -101,8 +101,7 @@ class ScenarioConfig:
     """Resolved scenario configuration (defaults merged, everything explicit)."""
 
     def __init__(self, scenario, seed=0, sigma=None, lam=None, delta=None,
-                 budget=None, feature=None, functional=None, params=None,
-                 output_dir=None):
+                 params=None, output_dir=None):
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}; "
                              f"expected one of {SCENARIOS}")
@@ -112,9 +111,6 @@ class ScenarioConfig:
         self.sigma = float(top["sigma"] if sigma is None else sigma)
         self.lam = float(top["lam"] if lam is None else lam)
         self.delta = float(top["delta"] if delta is None else delta)
-        self.budget = int(top["budget"] if budget is None else budget)
-        self.feature = copy.deepcopy(feature)
-        self.functional = copy.deepcopy(functional)
         self.output_dir = output_dir
         defaults = PARAM_DEFAULTS[scenario]
         params = dict(params or {})
@@ -135,9 +131,6 @@ class ScenarioConfig:
             "sigma": self.sigma,
             "lam": self.lam,
             "delta": self.delta,
-            "budget": self.budget,
-            "feature": copy.deepcopy(self.feature),
-            "functional": copy.deepcopy(self.functional),
             "params": copy.deepcopy(self.params),
             "output_dir": self.output_dir,
         }

@@ -33,17 +33,17 @@ def contamination_features(n_freq):
     amps = np.array(amps)
     dim = 1 + 2 * freqs.size
 
-    def eval_fn(x):
-        wx = freqs * x[0]
-        return np.concatenate([[x[0]], amps * np.cos(wx), amps * np.sin(wx)])
+    def eval_fn(X):
+        wx = freqs * X
+        return np.concatenate([X, amps * np.cos(wx), amps * np.sin(wx)],
+                              axis=1)
 
-    def jac_fn(x):
-        wx = freqs * x[0]
-        return np.concatenate([[1.0], -amps * freqs * np.sin(wx),
-                               amps * freqs * np.cos(wx)])[None, :]
+    def jac_fn(X):
+        wx = freqs * X
+        return np.concatenate([np.ones_like(X), -amps * freqs * np.sin(wx),
+                               amps * freqs * np.cos(wx)], axis=1)[:, None, :]
 
-    return FeatureMap(dim, 1, eval_fn, jac_fn,
-                      {"kind": "contamination", "n_freq": n_freq})
+    return FeatureMap(dim, 1, eval_fn, jac_fn)
 
 
 def _pipeline_design(obj, cand_pts, X_cand, greedy_budget, greedy_seeds,
@@ -69,9 +69,9 @@ def run_contamination_scenario(cfg, out_dir=None):
         fm = contamination_features(p["n_freq"])
         m = fm.dim
         V0 = PriorOperator(dim=m)
-        cand_pts = [np.array([x]) for x in
-                    np.linspace(-1.0, 1.0, p["n_candidates"])]
-        X_cand = np.stack([fm(pt) for pt in cand_pts])
+        cand = np.linspace(-1.0, 1.0, p["n_candidates"])[:, None]
+        cand_pts = list(cand)
+        X_cand = fm(cand)
 
         C_target = contamination_selector([0], m)
         C_full = LinearFunctional(np.eye(m), label="full coefficient vector")

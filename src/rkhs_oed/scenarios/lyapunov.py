@@ -13,7 +13,7 @@ import numpy as np
 
 from ..confidence import adaptive_radius
 from ..estimators import ADAPTIVE_OMEGA, InfoMatrix
-from ..features import nystrom_features, se_kernel, se_kernel_grad
+from ..features import nystrom_features, se_kernel
 from .common import ensure_dir, spawn_rngs, timer, write_csv, write_meta
 
 CSV_HEADER = ("seed", "step", "strategy", "set_kind", "sup_dV_bound",
@@ -28,9 +28,9 @@ def _true_dynamics_matrix(fm, region, fit_grid, a_norm):
     The normalized A *defines* the ground-truth dynamics."""
     ax = np.linspace(-region, region, fit_grid)
     pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
-    Phi = np.stack([fm(p) for p in pts])                 # N x m
-    F = np.stack([np.array([p[1], -np.sin(p[0]) - 0.5 * p[1]])
-                  for p in pts])                          # N x 2
+    Phi = fm(pts)                                         # N x m
+    F = np.stack([pts[:, 1], -np.sin(pts[:, 0]) - 0.5 * pts[:, 1]],
+                 axis=1)                                  # N x 2
     G = Phi.T @ Phi + 1e-8 * np.eye(fm.dim)
     A = np.linalg.solve(G, Phi.T @ F).T                   # 2 x m
     return A * (a_norm / np.linalg.norm(A))
@@ -57,15 +57,14 @@ def run_lyapunov_scenario(cfg, out_dir=None):
         ax = np.linspace(-region, region, p["landmarks_per_axis"])
         landmarks = np.stack(np.meshgrid(ax, ax, indexing="ij"),
                              -1).reshape(-1, 2)
-        fm = nystrom_features(kern, landmarks,
-                              kernel_grad=se_kernel_grad(p["lengthscale"]))
+        fm = nystrom_features(kern, landmarks)
         m = fm.dim
         A_true = _true_dynamics_matrix(fm, region, p["fit_grid"], p["a_norm"])
         theta_true = A_true.ravel()                        # vec by rows: (2, m)
         lam, sigma, delta, gain = cfg.lam, cfg.sigma, cfg.delta, p["gain"]
 
         tube_x, tube_z = _tube_points(p["n_angles"], p["tube_width"])
-        Phi_tube = np.stack([fm(x) for x in tube_x])       # nt x m
+        Phi_tube = fm(tube_x)                              # nt x m
         # tube functionals C_x = 2 vec(z phi(x)^T): row blocks per component
         M_tube = 2.0 * np.concatenate(
             [tube_z[:, [0]] * Phi_tube, tube_z[:, [1]] * Phi_tube], axis=1)
@@ -84,7 +83,7 @@ def run_lyapunov_scenario(cfg, out_dir=None):
         cand_ax = np.linspace(-region, region, p["candidate_grid"])
         cand = np.stack(np.meshgrid(cand_ax, cand_ax, indexing="ij"),
                         -1).reshape(-1, 2)
-        Phi_cand = np.stack([fm(x) for x in cand])
+        Phi_cand = fm(cand)
 
         rows = []
         cert_steps = {}

@@ -57,11 +57,10 @@ def operator_matrix(fm, grid, a, d):
 
     Fourier features make the second derivative diagonal: phi_k'' = -w_k^2 phi_k.
     """
-    Phi = np.stack([fm(np.array([t])) for t in grid])
-    dPhi = np.stack([fm.jacobian(np.array([t]))[0] for t in grid])
-    w2 = np.concatenate([fm.omega[:, 0] ** 2, fm.omega[:, 0] ** 2])
-    ddPhi = -Phi * w2[None, :]
-    return ddPhi + (a + d) * dPhi + a * d * Phi
+    pts = np.asarray(grid, dtype=float)[:, None]
+    Phi = fm(pts)
+    dPhi = fm.jacobian(pts)[:, 0, :]
+    return -Phi * fm.omega[:, 0] ** 2 + (a + d) * dPhi + a * d * Phi
 
 
 def _mle(gamma0, box, times, ys, c_dose, t_max, steps):

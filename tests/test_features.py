@@ -94,14 +94,13 @@ def test_qff_jacobian_matches_finite_differences():
 
 def test_qff_exposes_frequencies():
     fm = qff_squared_exponential(0.5, 32, [[-1, 1]])
-    assert fm.omega.shape[0] * 2 == fm.dim
-    assert fm.amp.shape[0] == fm.omega.shape[0]
-    # second derivative of each Fourier pair is -omega^2 times itself
+    # one frequency row per column
+    assert fm.omega.shape == (fm.dim, 1)
+    # second derivative of each Fourier column is -omega^2 times itself
     x = np.array([0.37])
-    w2 = np.concatenate([fm.omega[:, 0] ** 2, fm.omega[:, 0] ** 2])
     step = 1e-4
     dd_fd = (fm(x + step) - 2 * fm(x) + fm(x - step)) / step ** 2
-    assert np.abs(dd_fd + w2 * fm(x)).max() < 1e-3
+    assert np.abs(dd_fd + fm.omega[:, 0] ** 2 * fm(x)).max() < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +185,11 @@ def test_feature_map_shape_validation():
         fm(np.zeros(3))
 
 
-def test_fd_jacobian_fallback():
-    fm = FeatureMap(2, 1, lambda x: np.array([x[0], x[0] ** 2]))
-    jac = fm.jacobian(np.array([3.0]))
-    assert np.allclose(jac, [[1.0, 6.0]], atol=1e-5)
+def test_jacobian_requires_jacobian_fn():
+    fm = FeatureMap(2, 1, lambda X: np.concatenate([X, X ** 2], axis=1))
+    assert np.array_equal(fm(np.array([3.0])), [3.0, 9.0])
+    with pytest.raises(ValueError, match="jacobian_fn"):
+        fm.jacobian(np.array([3.0]))
 
 
 def test_evaluate_design_matrix_empty_and_duplicates():

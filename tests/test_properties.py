@@ -1,4 +1,5 @@
-"""Property tests of invariants the estimators and objectives must keep.
+"""Property tests of invariants the feature maps, estimators and objectives
+must keep.
 
 Matrices are drawn from a numpy generator seeded by hypothesis, with shapes
 and conditioning bounded so that the invariants hold to a tolerance fixed
@@ -14,8 +15,11 @@ from rkhs_oed.estimators import (Dataset, info_matrix_interp,
                                  info_matrix_ridge, interpolate,
                                  residual_covariance_bound, ridge,
                                  weighted_info_matrix)
-from rkhs_oed.features import PriorOperator
+from rkhs_oed.features import (PriorOperator, linear_map, nystrom_features,
+                               polynomial_map, qff_squared_exponential,
+                               se_kernel, se_kernel_grad)
 from rkhs_oed.functionals import FunctionalFamily, LinearFunctional
+from rkhs_oed.scenarios.contamination import contamination_features
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 LAM, SIGMA = 0.5, 0.7
@@ -127,3 +131,92 @@ def test_family_objective_is_min_over_members(seed, n, p, size, kind,
         for C in family.functionals()]
     val = evaluate_objective(obj, X, eta)
     assert abs(val - min(members)) <= 1e-10 * abs(min(members))
+
+
+# ---------------------------------------------------------------------------
+# feature maps
+# ---------------------------------------------------------------------------
+
+def _feature_map(kind, rng):
+    """A map of the given kind with inputs in [-1, 1]^d."""
+    if kind in ("qff1", "qff2"):
+        d = int(kind[-1])
+        return qff_squared_exponential(rng.uniform(0.05, 1.0),
+                                       2 * int(rng.integers(1, 201)),
+                                       [[-1.0, 1.0]] * d)
+    if kind == "nystrom":
+        # landmarks near a grid, lengthscale below the spacing: a
+        # well-conditioned landmark gram, so that Lambda^{-1/2} does not
+        # amplify the roundoff of the matrix products
+        d, k = int(rng.integers(1, 3)), int(rng.integers(2, 6))
+        ax = np.linspace(-1.0, 1.0, k)
+        h = ax[1] - ax[0]
+        marks = np.stack(np.meshgrid(*([ax] * d), indexing="ij"),
+                         -1).reshape(-1, d)
+        marks += rng.uniform(-0.1 * h, 0.1 * h, size=marks.shape)
+        ls = rng.uniform(0.25, 0.5) * h
+        return nystrom_features(se_kernel(ls), marks, se_kernel_grad(ls))
+    if kind == "linear":
+        return linear_map(int(rng.integers(1, 5)))
+    if kind == "polynomial":
+        return polynomial_map(int(rng.integers(1, 7)),
+                              include_constant=bool(rng.integers(2)))
+    return contamination_features(int(rng.integers(1, 6)))
+
+
+MAP_KINDS = ["qff1", "qff2", "nystrom", "linear", "polynomial",
+             "contamination"]
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(MAP_KINDS),
+       st.integers(1, 8))
+def test_feature_batch_rows_equal_single_points(seed, kind, n):
+    rng = np.random.default_rng(seed)
+    fm = _feature_map(kind, rng)
+    X = rng.uniform(-1.0, 1.0, size=(n, fm.input_dim))
+    Phi, J = fm(X), fm.jacobian(X)
+    assert Phi.shape == (n, fm.dim)
+    assert J.shape == (n, fm.input_dim, fm.dim)
+    for i in range(n):
+        assert _close(fm(X[i]), Phi[i], rtol=1e-14)
+        assert _close(fm.jacobian(X[i]), J[i], rtol=1e-14)
+
+
+def _unfolded_qff(lengthscale, m, d):
+    """Values and Jacobians of the tensor-grid QFF map with every
+    Gauss-Hermite node as a cosine/sine pair: 2 q^d columns."""
+    q = int(np.floor((m // 2) ** (1.0 / d) + 1e-9))
+    nodes, weights = np.polynomial.hermite.hermgauss(q)
+    grid = np.meshgrid(*([nodes] * d), indexing="ij")
+    pgrid = np.meshgrid(*([weights / np.sqrt(np.pi)] * d), indexing="ij")
+    omega = np.sqrt(2.0) / lengthscale * np.stack(
+        [g.ravel() for g in grid], axis=1)
+    amp = np.sqrt(np.prod(np.stack([g.ravel() for g in pgrid], 1), 1))
+
+    def values(X):
+        wx = X @ omega.T
+        return np.concatenate([amp * np.cos(wx), amp * np.sin(wx)], axis=1)
+
+    def jacobian(X):
+        wx = X @ omega.T
+        slope = np.concatenate([-amp * np.sin(wx), amp * np.cos(wx)], axis=1)
+        return slope[:, None, :] * np.concatenate([omega, omega]).T
+
+    return values, jacobian
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 2),
+       st.floats(0.05, 1.0), st.integers(1, 200), st.integers(1, 12))
+def test_folded_qff_keeps_value_and_derivative_grams(seed, d, lengthscale,
+                                                     half_m, n):
+    rng = np.random.default_rng(seed)
+    fm = qff_squared_exponential(lengthscale, 2 * half_m, [[-1.0, 1.0]] * d)
+    values, jacobian = _unfolded_qff(lengthscale, 2 * half_m, d)
+    assert fm.dim <= values(np.zeros((1, d))).shape[1] // 2
+    X = rng.uniform(-1.0, 1.0, size=(n, d))
+    Phi, ref = fm(X), values(X)
+    assert _close(Phi @ Phi.T, ref @ ref.T, rtol=1e-14)
+    J, Jref = fm.jacobian(X).reshape(n * d, -1), jacobian(X).reshape(n * d, -1)
+    assert _close(J @ J.T, Jref @ Jref.T, rtol=1e-14)

@@ -70,9 +70,10 @@ def test_config_rejects_unknown_keys():
         ScenarioConfig("nonexistent")
     with pytest.raises(ValueError, match="unknown params"):
         ScenarioConfig("gradient", params={"typo_key": 1})
-    with pytest.raises(ValueError, match="unknown config keys"):
-        ScenarioConfig.from_dict({"schema": SCHEMA_VERSION,
-                                  "scenario": "ellipse", "bogus": 1})
+    for key in ("bogus", "budget", "feature", "functional"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ScenarioConfig.from_dict({"schema": SCHEMA_VERSION,
+                                      "scenario": "ellipse", key: 1})
     with pytest.raises(ValueError, match="schema"):
         ScenarioConfig.from_dict({"schema": 99, "scenario": "ellipse"})
     with pytest.raises(ValueError, match="scenario"):

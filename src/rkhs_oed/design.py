@@ -1,4 +1,4 @@
-"""Allocation optimization over candidate query sets: E/A scalarizations,
+"""Allocation optimization over candidate query sets: E/T scalarizations,
 robust (worst-case over a functional family) objectives, greedy and
 exponentiated-gradient solvers, a brute-force simplex oracle, rounding,
 and bias/variance budget balancing."""
@@ -8,14 +8,11 @@ import itertools
 import numpy as np
 
 from .confidence import fixed_interp_ellipsoid, l2_error_bound, xi
-from .estimators import (_ridge_solves, _weighted_info_matrices,
+from .estimators import (_on_simplex, _ridge_solves, _weighted_info_matrices,
                          info_matrix_interp, weighted_info_matrix)
 from .functionals import FunctionalFamily, gradient_functional
 from .features import PriorOperator, evaluate_design_matrix
 from .linalg import solve_spd, sym
-
-SPECTRAL_GAP_TOL = 1e-8
-FD_STEP = 1e-7
 
 
 class Allocation:
@@ -24,7 +21,7 @@ class Allocation:
     def __init__(self, support_points, X, eta, counts=None, budget=None,
                  objective_value=None, trace=None):
         eta = np.asarray(eta, dtype=float).reshape(-1)
-        if np.any(eta < -1e-12) or abs(eta.sum() - 1.0) > 1e-10:
+        if not _on_simplex(eta):
             raise ValueError("eta must lie on the probability simplex")
         self.support_points = list(support_points)
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -42,15 +39,15 @@ class Allocation:
 class DesignObjective:
     """Scalarized information objective f(W(D(eta)^{1/2} X_S)).
 
-    kind: 'E' (lambda_min) or 'A' (trace); estimator_kind: 'interp' or
+    kind: 'E' (lambda_min) or 'T' (trace); estimator_kind: 'interp' or
     'ridge'; functional: LinearFunctional or FunctionalFamily (robust:
     worst case over the family's grid).
     """
 
     def __init__(self, kind, estimator_kind, functional, V0=None,
                  lam=None, sigma=None):
-        if kind not in ("E", "A"):
-            raise ValueError("kind must be 'E' or 'A'")
+        if kind not in ("E", "T"):
+            raise ValueError("kind must be 'E' or 'T'")
         if estimator_kind not in ("interp", "ridge"):
             raise ValueError("estimator_kind must be 'interp' or 'ridge'")
         if estimator_kind == "ridge" and (lam is None or sigma is None):
@@ -88,8 +85,7 @@ def evaluate_objective(obj, alloc_or_X, eta=None):
     else:
         X_S = np.atleast_2d(np.asarray(alloc_or_X, dtype=float))
         eta = np.asarray(eta, dtype=float).reshape(-1)
-    if (eta.shape[0] != X_S.shape[0] or np.any(eta < -1e-12)
-            or abs(eta.sum() - 1.0) > 1e-10):
+    if eta.shape[0] != X_S.shape[0] or not _on_simplex(eta):
         return -np.inf
     return min(_member_values(obj, X_S, eta))
 
@@ -97,9 +93,9 @@ def evaluate_objective(obj, alloc_or_X, eta=None):
 def _member_values(obj, X_S, eta):
     """Scalarized objective of each functional of obj at raw weights eta.
 
-    eta is clipped at 0 and not checked against the simplex (finite
-    differences and counts designs probe off it).  Every value is -inf when
-    the interpolation design is unidentifiable.
+    eta is clipped at 0 and not checked against the simplex (the greedy
+    solver scores unnormalized counts).  Every value is -inf when the
+    interpolation design is unidentifiable.
     """
     Cms = [C.matrix for C in obj._functionals()]
     try:
@@ -111,14 +107,16 @@ def _member_values(obj, X_S, eta):
 
 
 # ---------------------------------------------------------------------------
-# analytic gradients (with finite-difference fallback)
+# exact gradients
 # ---------------------------------------------------------------------------
 
 def _grad_single(obj, X_S, eta, C, V0):
-    """Gradient of f(W(eta)) wrt eta for one functional; None -> caller FD.
+    """(Super)gradient of f(W(eta)) wrt eta for one functional.
 
-    Both kinds write W^{-1} = M and dM/deta_i = -v_i v_i^T, so the A-gradient
-    is |M^{-1} v_i|^2 and the E-gradient (v_i^T u_top)^2 / w_top^2.
+    Both kinds write W^{-1} = M and dM/deta_i = -v_i v_i^T, so the T-gradient
+    is |M^{-1} v_i|^2 and the E-supergradient (v_i^T u_top)^2 / w_top^2 for
+    the top eigenvector u_top of M, i.e. a unit vector in the bottom
+    eigenspace of W; it is the gradient when that eigenvalue is simple.
     """
     Cm = C.matrix
     grad = np.zeros_like(eta)
@@ -139,17 +137,17 @@ def _grad_single(obj, X_S, eta, C, V0):
         L = solve_spd(sym(B @ Xw.T), B @ Cm.T).T  # warns, never raises
         M = sym(L @ L.T)
         V = L / rt[None, :]
-    if obj.kind == "A":
+    if obj.kind == "T":
         grad[keep] = np.sum(solve_spd(M, V) ** 2, axis=0)
         return grad
     w, u = np.linalg.eigh(M)
-    if M.shape[0] > 1 and w[-1] - w[-2] < SPECTRAL_GAP_TOL * max(w[-1], 1.0):
-        return None
     grad[keep] = (u[:, -1] @ V) ** 2 / w[-1] ** 2
     return grad
 
 
-def _fd_gradient(obj, X_S, eta, step=FD_STEP):
+def _fd_gradient(obj, X_S, eta, step=1e-7):
+    """Central finite differences of the objective at raw weights eta;
+    reference for tests only, the solvers never call it."""
     g = np.zeros_like(eta)
     for i in range(eta.size):
         e = np.zeros_like(eta)
@@ -161,7 +159,8 @@ def _fd_gradient(obj, X_S, eta, step=FD_STEP):
 
 
 def objective_gradient(obj, X_S, eta):
-    """Gradient of the (robust) objective at eta; worst-gamma subgradient."""
+    """Supergradient of the (robust) objective at eta: the exact gradient of
+    the worst family member, with the E-supergradient at tied eigenvalues."""
     X_S = np.atleast_2d(np.asarray(X_S, dtype=float))
     eta = np.asarray(eta, dtype=float)
     V0 = obj._v0(X_S.shape[1])
@@ -169,10 +168,7 @@ def objective_gradient(obj, X_S, eta):
     C = functionals[0]
     if len(functionals) > 1:
         C = functionals[int(np.argmin(_member_values(obj, X_S, eta)))]
-    g = _grad_single(obj, X_S, eta, C, V0)
-    if g is None:
-        g = _fd_gradient(obj, X_S, eta)
-    return g
+    return _grad_single(obj, X_S, eta, C, V0)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,12 @@ def info_matrix_adaptive(pd, lam, sigma):
     return InfoMatrix(Z.T @ Z / sigma ** 2 + lam * pd.S, ADAPTIVE_OMEGA)
 
 
+def _on_simplex(eta):
+    """True when the weights eta lie on the probability simplex, to 1e-12
+    per entry and 1e-10 in the sum."""
+    return not (np.any(eta < -1e-12) or abs(eta.sum() - 1.0) > 1e-10)
+
+
 def weighted_info_matrix(X_S, eta, C, V0, kind, lam=None, sigma=None):
     """Information matrix of the fractionally weighted design D(eta)^{1/2} X_S.
 
@@ -150,7 +156,7 @@ def weighted_info_matrix(X_S, eta, C, V0, kind, lam=None, sigma=None):
     X_S = np.atleast_2d(np.asarray(X_S, dtype=float))
     if eta.shape[0] != X_S.shape[0]:
         raise ValueError("eta length must match support size")
-    if np.any(eta < -1e-12) or abs(eta.sum() - 1.0) > 1e-10:
+    if not _on_simplex(eta):
         raise ValueError("eta must lie on the probability simplex")
     return _weighted_info_matrices(X_S, eta, [_cmat(C)], V0, kind, lam,
                                    sigma)[0]

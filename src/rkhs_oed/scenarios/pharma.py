@@ -1,4 +1,4 @@
-"""Two-compartment pharmacokinetics: robust A-optimal measurement times for
+"""Two-compartment pharmacokinetics: robust T-optimal measurement times for
 the blood-concentration curve versus equal spacing, scored by the MSE of the
 maximum-likelihood parameter recovery."""
 
@@ -82,7 +82,7 @@ def _mle(gamma0, box, times, ys, c_dose, t_max, steps):
 
 
 def design_problem(cfg):
-    """Feature map, candidate times, candidate rows, robust A-objective and
+    """Feature map, candidate times, candidate rows, robust T-objective and
     greedy seed indices of the pharma design at cfg.
 
     The family holds the function-space null spaces of the blood operator
@@ -104,7 +104,7 @@ def design_problem(cfg):
     cand_times = np.linspace(t_max / p["n_candidates"], t_max,
                              p["n_candidates"])
     X_cand = evaluate_design_matrix(fm, cand_times)
-    obj = DesignObjective("A", "ridge", family, lam=cfg.lam, sigma=cfg.sigma)
+    obj = DesignObjective("T", "ridge", family, lam=cfg.lam, sigma=cfg.sigma)
     seed_indices = np.unique(np.linspace(0, len(cand_times) - 1,
                                          3).astype(int))
     return fm, cand_times, X_cand, obj, seed_indices

@@ -311,12 +311,12 @@ def test_acceptance_10_lyapunov(tmp_path, report):
 def test_acceptance_11_optimizer_vs_oracle(report):
     rng = np.random.default_rng(11)
     instances = []
-    for kind in ("E", "A"):
+    for kind in ("E", "T"):
         X = rng.standard_normal((3, 3))
         C = LinearFunctional(rng.standard_normal((2, 3)))
         instances.append((DesignObjective(kind, "ridge", C, lam=0.5,
                                           sigma=0.7), X))
-    for kind in ("E", "A"):
+    for kind in ("E", "T"):
         X = rng.standard_normal((3, 3))
         instances.append((DesignObjective(kind, "interp",
                                           LinearFunctional(np.eye(3))), X))
@@ -331,7 +331,7 @@ def test_acceptance_11_optimizer_vs_oracle(report):
             worst_rel = max(worst_rel, rel)
         # greedy trace monotonicity on a random ridge instance
         Xg = rng.standard_normal((8, 3))
-        gobj = DesignObjective("A", "ridge",
+        gobj = DesignObjective("T", "ridge",
                                LinearFunctional(rng.standard_normal((2, 3))),
                                lam=0.5, sigma=0.7)
         g = greedy_design(gobj, list(range(8)), 24, X_cand=Xg)

@@ -5,17 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
+from rkhs_oed import design
 from rkhs_oed.design import (Allocation, DesignObjective,
                              balance_bias_variance, evaluate_objective,
                              gradient_design_geometry_check, greedy_design,
                              grid_search_design, mirror_descent_design,
                              objective_gradient, query_complexity,
                              round_allocation, _fd_gradient)
+from rkhs_oed.estimators import weighted_info_matrix
 from rkhs_oed.features import (PriorOperator, evaluate_design_matrix,
                                polynomial_map, qff_squared_exponential)
 from rkhs_oed.functionals import (FunctionalFamily, LinearFunctional,
                                   gradient_functional)
 from rkhs_oed.linalg import IllConditionedWarning, pinv
+from rkhs_oed.scenarios.contamination import contamination_features
 
 
 def _ridge_obj(kind="E", C=None, lam=1.0, sigma=1.0):
@@ -32,6 +35,8 @@ def test_design_objective_validation():
     with pytest.raises(ValueError):
         DesignObjective("D", "ridge", C, lam=1.0, sigma=1.0)
     with pytest.raises(ValueError):
+        DesignObjective("A", "ridge", C, lam=1.0, sigma=1.0)  # trace is "T"
+    with pytest.raises(ValueError):
         DesignObjective("E", "lasso", C)
     with pytest.raises(ValueError):
         DesignObjective("E", "ridge", C)  # missing lam/sigma
@@ -47,7 +52,7 @@ def test_evaluate_objective_identity_closed_form():
     obj = _ridge_obj("E")
     val = evaluate_objective(obj, np.eye(2), np.array([0.5, 0.5]))
     assert val == pytest.approx(1.5, abs=1e-12)
-    obj_a = _ridge_obj("A")
+    obj_a = _ridge_obj("T")
     assert evaluate_objective(obj_a, np.eye(2), np.array([0.5, 0.5])) == \
         pytest.approx(3.0, abs=1e-12)
 
@@ -56,7 +61,7 @@ def test_evaluate_objective_permutation_invariance():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 3))
     eta = np.array([0.1, 0.2, 0.3, 0.4])
-    obj = DesignObjective("A", "ridge", LinearFunctional(np.eye(3)),
+    obj = DesignObjective("T", "ridge", LinearFunctional(np.eye(3)),
                           lam=0.5, sigma=0.7)
     perm = np.array([2, 0, 3, 1])
     v1 = evaluate_objective(obj, X, eta)
@@ -92,13 +97,13 @@ def test_objective_concavity_spot_check():
     cases = [
         DesignObjective("E", "ridge", LinearFunctional(
             rng.standard_normal((2, m))), lam=0.5, sigma=0.7),
-        DesignObjective("A", "ridge", LinearFunctional(
+        DesignObjective("T", "ridge", LinearFunctional(
             rng.standard_normal((2, m))), lam=0.5, sigma=0.7),
     ]
     # interpolation concavity needs identifiable sub-designs: use p = n rows
     Xsq = rng.standard_normal((m, m))
     cases += [DesignObjective(k, "interp", LinearFunctional(np.eye(m)))
-              for k in ("E", "A")]
+              for k in ("E", "T")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         for obj in cases:
@@ -117,16 +122,47 @@ def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((4, 4))
     eta = rng.dirichlet(np.ones(4))
+    C1, C2, C3 = (LinearFunctional(rng.standard_normal((2, 4)))
+                  for _ in range(3))
+    family = FunctionalFamily([C2, C3].__getitem__, [0, 1])
+    ridge = dict(lam=0.5, sigma=0.7)
+    objs = [DesignObjective("T", "ridge", C1, **ridge),
+            DesignObjective("E", "interp", LinearFunctional(np.eye(4))),
+            DesignObjective("E", "ridge", C1, **ridge),
+            DesignObjective("T", "interp", C1)]
+    objs += [DesignObjective(k, e, family, **(ridge if e == "ridge" else {}))
+             for k in ("E", "T") for e in ("ridge", "interp")]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        for obj in (DesignObjective("A", "ridge",
-                                    LinearFunctional(rng.standard_normal((2, 4))),
-                                    lam=0.5, sigma=0.7),
-                    DesignObjective("E", "interp",
-                                    LinearFunctional(np.eye(4)))):
+        for obj in objs:
+            # FD is a reference only away from kinks: a wide bottom gap for
+            # E and a strict worst member for the family
+            vals = design._member_values(obj, X, eta)
+            if len(vals) > 1:
+                assert abs(vals[0] - vals[1]) > 1e-2 * max(np.abs(vals))
+            Ws = [weighted_info_matrix(X, eta, C, PriorOperator(dim=4),
+                                       obj.estimator_kind, **ridge).matrix
+                  for C in obj._functionals()]
+            w = np.linalg.eigvalsh(Ws[int(np.argmin(vals))])
+            assert w[1] - w[0] > 1e-2 * w[-1]
             g = objective_gradient(obj, X, eta)
             fd = _fd_gradient(obj, X, eta)
             assert np.abs(g - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+
+
+def test_solver_never_differentiates_numerically(monkeypatch):
+    # contamination-shaped ridge instance: C = I_m with fewer support rows
+    # than m, so the bottom eigenvalue of W_lambda repeats m - n times
+    def no_fd(*args, **kwargs):
+        raise AssertionError("finite-difference gradient in the solver")
+
+    monkeypatch.setattr(design, "_fd_gradient", no_fd)
+    fm = contamination_features(3)
+    pts = np.linspace(-1.0, 1.0, 6)[:, None]
+    obj = DesignObjective("E", "ridge", LinearFunctional(np.eye(fm.dim)),
+                          lam=0.1, sigma=0.1)
+    alloc = mirror_descent_design(obj, list(pts), X_S=fm(pts), iters=30)
+    assert np.isfinite(alloc.objective_value)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +191,7 @@ def test_greedy_standard_basis_counts_and_trace():
 def test_greedy_trace_is_nondecreasing():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((8, 3))
-    obj = DesignObjective("A", "ridge",
+    obj = DesignObjective("T", "ridge",
                           LinearFunctional(rng.standard_normal((2, 3))),
                           lam=0.5, sigma=0.7)
     alloc = greedy_design(obj, list(range(8)), budget=20, X_cand=X)
@@ -189,7 +225,7 @@ def test_mirror_descent_symmetric_instance():
 def test_mirror_descent_constant_objective_keeps_uniform():
     # identical rows: every allocation gives the same information
     X = np.array([[1.0, 0.5], [1.0, 0.5], [1.0, 0.5]])
-    obj = _ridge_obj("A", C=LinearFunctional([[1.0, 0.0]]))
+    obj = _ridge_obj("T", C=LinearFunctional([[1.0, 0.0]]))
     alloc = mirror_descent_design(obj, [0, 1, 2], X_S=X, iters=50)
     assert np.abs(alloc.eta - 1 / 3).max() <= 1e-10
     assert max(alloc.trace) - min(alloc.trace) <= 1e-12
@@ -205,7 +241,7 @@ def test_mirror_descent_infeasible_start_raises():
 def test_mirror_descent_trace_best_iterate():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((5, 3))
-    obj = DesignObjective("A", "ridge",
+    obj = DesignObjective("T", "ridge",
                           LinearFunctional(rng.standard_normal((2, 3))),
                           lam=0.5, sigma=0.7)
     alloc = mirror_descent_design(obj, list(range(5)), X_S=X, iters=100)
@@ -237,12 +273,12 @@ def test_grid_search_symmetric_and_size_limit():
 def test_mirror_descent_within_two_percent_of_grid_oracle():
     rng = np.random.default_rng(11)
     instances = []
-    for kind in ("E", "A"):
+    for kind in ("E", "T"):
         X = rng.standard_normal((3, 3))
         C = LinearFunctional(rng.standard_normal((2, 3)))
         instances.append((DesignObjective(kind, "ridge", C, lam=0.5,
                                           sigma=0.7), X))
-    for kind in ("E", "A"):
+    for kind in ("E", "T"):
         X = rng.standard_normal((3, 3))
         instances.append((DesignObjective(kind, "interp",
                                           LinearFunctional(np.eye(3))), X))

@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkhs_oed.design import DesignObjective, evaluate_objective
+from rkhs_oed.design import (DesignObjective, evaluate_objective,
+                             objective_gradient)
 from rkhs_oed.estimators import (Dataset, info_matrix_interp,
                                  info_matrix_ridge, interpolate,
                                  residual_covariance_bound, ridge,
@@ -112,7 +113,7 @@ def _scalarize(kind, W):
 
 @SETTINGS
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 3),
-       st.integers(1, 4), st.sampled_from(["E", "A"]),
+       st.integers(1, 4), st.sampled_from(["E", "T"]),
        st.sampled_from(["ridge", "interp"]))
 def test_family_objective_is_min_over_members(seed, n, p, size, kind,
                                               estimator):
@@ -131,6 +132,59 @@ def test_family_objective_is_min_over_members(seed, n, p, size, kind,
         for C in family.functionals()]
     val = evaluate_objective(obj, X, eta)
     assert abs(val - min(members)) <= 1e-10 * abs(min(members))
+
+
+def _weights(rng, n, size=None):
+    """Positive weights within a factor 4 of each other, on the simplex."""
+    w = rng.uniform(0.5, 2.0, (n,) if size is None else (size, n))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _supergradient_problem(rng, n, p, size, estimator, tied):
+    """Design X (n x m, m = n + 2), functional or family and weights eta.
+
+    Untied: orthogonal rows of lengths in [0.5, 2] and members C = [B, N] Q
+    in the same rotation Q, with B's singular values in [0.5, 2], so that
+    W is well conditioned.  Tied: the bottom eigenvalue of W repeats.  Under
+    ridge, C = I_m with n < m rows gives W_lambda = lam I + X^T D X / sigma^2
+    the eigenvalue lam m - n times; under interp, rows and C from one
+    orthogonal Q give W = diag(eta_0, eta_1), and eta_1 is set to eta_0.
+    """
+    m = n + 2
+    eta = _weights(rng, n)
+    if tied and estimator == "ridge":
+        return rng.standard_normal((n, m)), LinearFunctional(np.eye(m)), eta
+    Q = _orthogonal(rng, m)
+    if tied:
+        eta[1] = eta[0]
+        return Q[:n], LinearFunctional(Q[:2]), eta / eta.sum()
+    X = rng.uniform(0.5, 2.0, n)[:, None] * Q[:n]
+    p = min(p, n)          # interp members must be identifiable
+    mats = [np.hstack([_orthogonal(rng, n)[:p] * rng.uniform(0.5, 2.0, n),
+                       rng.standard_normal((p, 2))]) @ Q
+            for _ in range(size)]
+    return X, FunctionalFamily(lambda g: LinearFunctional(mats[g]),
+                               range(size)), eta
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 3),
+       st.integers(1, 3), st.sampled_from(["E", "T"]),
+       st.sampled_from(["ridge", "interp"]), st.booleans())
+def test_gradient_is_a_supergradient(seed, n, p, size, kind, estimator,
+                                     tied):
+    # on a fixed positive support f is concave in eta, so its gradient, or
+    # at a repeated bottom eigenvalue of W its E-supergradient, bounds it
+    # from above: f(eta') <= f(eta) + g . (eta' - eta)
+    rng = np.random.default_rng(seed)
+    X, functional, eta = _supergradient_problem(rng, n, p, size, estimator,
+                                                tied)
+    obj = DesignObjective(kind, estimator, functional, lam=LAM, sigma=SIGMA)
+    f = evaluate_objective(obj, X, eta)
+    g = objective_gradient(obj, X, eta)
+    for eta2 in _weights(rng, n, size=5):
+        assert evaluate_objective(obj, X, eta2) <= \
+            f + g @ (eta2 - eta) + 1e-12 * max(1.0, abs(f))
 
 
 # ---------------------------------------------------------------------------

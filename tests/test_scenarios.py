@@ -249,7 +249,7 @@ def test_coverage_scenario_smoke(tmp_path):
         assert 0.0 <= cov <= 1.0
 
 
-@pytest.mark.parametrize("scenario", ["ellipse", "gradient"])
+@pytest.mark.parametrize("scenario", ["ellipse", "gradient", "pharma"])
 def test_scenario_output_is_bit_reproducible(tmp_path, scenario):
     d1 = tmp_path / "run1"
     d2 = tmp_path / "run2"

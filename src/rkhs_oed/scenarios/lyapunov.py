@@ -20,6 +20,17 @@ CSV_HEADER = ("seed", "step", "strategy", "set_kind", "sup_dV_bound",
               "certified")
 
 SVD_TRUNC = 1e-8
+# scores within this relative distance of the best count as tied; roundoff
+# splits the exact ties of the symmetric tube and candidate grid by up to
+# 9.6e-10 relative at the defaults
+TIE_RTOL = 1e-9
+
+
+def argmax_lowest(scores):
+    """Lowest index among scores within a relative TIE_RTOL of the max, so
+    that ties decided by roundoff go the same way at any BLAS thread count."""
+    best = scores.max()
+    return int(np.flatnonzero(scores >= best - TIE_RTOL * abs(best))[0])
 
 
 def _true_dynamics_matrix(fm, region, fit_grid, a_norm):
@@ -109,12 +120,12 @@ def run_lyapunov_scenario(cfg, out_dir=None):
                         scores = np.einsum(
                             "ij,ji->i", Phi_cand,
                             np.linalg.solve(B, Phi_cand.T))
-                        x = cand[int(np.argmax(scores))]
+                        x = cand[argmax_lowest(scores)]
                     elif strategy == "unc-ref":
                         scores = np.einsum(
                             "ij,ji->i", G_tube, np.linalg.solve(Omega,
                                                                 G_tube.T))
-                        x = tube_x[int(np.argmax(scores))]
+                        x = tube_x[argmax_lowest(scores)]
                     else:
                         raise ValueError(f"unknown strategy {strategy!r}")
 

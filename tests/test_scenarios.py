@@ -223,6 +223,41 @@ def test_pharma_design_independent_of_blas_threads():
         assert one[n][1] == pytest.approx(two[n][1], rel=1e-8)
 
 
+_LYAPUNOV_UNC_REF = """
+import json, sys, warnings
+from rkhs_oed.scenarios.config import ScenarioConfig
+from rkhs_oed.scenarios.lyapunov import run_lyapunov_scenario
+warnings.simplefilter("ignore")
+cfg = ScenarioConfig("lyapunov", seed=0,
+                     params={"strategies": ["unc-ref"], "n_seeds": 1})
+out = run_lyapunov_scenario(cfg, out_dir=sys.argv[1])
+print(json.dumps([list(out["cert_steps"].values()), out["rows"]]))
+"""
+
+
+def test_lyapunov_queries_independent_of_blas_threads(tmp_path):
+    # the "unc-ref" queries tie to roundoff on the symmetric tube; the
+    # certification must not depend on which tied point a BLAS thread
+    # count happens to rank first
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LYAPUNOV_UNC_REF, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=600, check=True)
+        results.append(json.loads(proc.stdout))
+    (cert_one, rows_one), (cert_two, rows_two) = results
+    assert cert_one == cert_two
+    # same queries, so the same rows up to the roundoff of the bound
+    assert [r[:4] + r[5:] for r in rows_one] == \
+        [r[:4] + r[5:] for r in rows_two]
+    assert np.allclose([r[4] for r in rows_one], [r[4] for r in rows_two],
+                       rtol=0.0, atol=1e-9)
+
+
 def test_lyapunov_scenario_smoke(tmp_path):
     out = _run("lyapunov", tmp_path)
     _check_outputs(tmp_path, "lyapunov",

@@ -4,7 +4,7 @@ import numpy as np
 
 from .estimators import (ADAPTIVE_OMEGA, INTERP_DAGGER, RIDGE_LAMBDA,
                          InfoMatrix, info_matrix_adaptive)
-from .linalg import cho_spd, solve_spd, solve_spd_checked, sym
+from .linalg import cho_logdet, solve_spd, solve_spd_checked, spd_factor, sym
 
 FIXED_INTERP = "fixed_interp"
 FIXED_RIDGE = "fixed_ridge"
@@ -67,21 +67,23 @@ def fixed_ridge_ellipsoid(estimate, W_lambda, delta):
     return ConfidenceEllipsoid(estimate, W_lambda, radius, delta, FIXED_RIDGE)
 
 
-def _logdet_spd(a):
-    c, _ = cho_spd(a)
-    if c is None:
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+def anytime_radius(logdet_ratio, delta):
+    """sqrt(2 (log(1/delta) + logdet_ratio / 2)) + 1 for logdet_ratio =
+    log det(Omega)/det(lam S), scalar or array; ratios in [-1e-9, 0) are
+    roundoff and clip to 0, lower ones raise ValueError."""
+    ratio = np.asarray(logdet_ratio, dtype=float)
+    if np.any(ratio < -1e-9):
+        raise ValueError(
+            f"det(Omega)/det(lam S) = exp({ratio.min():.3e}) < 1: "
+            "Omega is not dominated below by lam S")
+    return np.sqrt(2.0 * (np.log(1.0 / delta)
+                          + 0.5 * np.maximum(ratio, 0.0))) + 1.0
 
 
 def adaptive_radius(Omega, S, lam, delta):
-    logdet_ratio = _logdet_spd(Omega.matrix) - _logdet_spd(lam * np.asarray(S))
-    if logdet_ratio < -1e-9:
-        raise ValueError(
-            f"det(Omega)/det(lam S) = exp({logdet_ratio:.3e}) < 1: "
-            "Omega is not dominated below by lam S")
-    logdet_ratio = max(logdet_ratio, 0.0)
-    return np.sqrt(2.0 * (np.log(1.0 / delta) + 0.5 * logdet_ratio)) + 1.0
+    """anytime_radius of Omega against lam S."""
+    return anytime_radius(cho_logdet(spd_factor(Omega.matrix))
+                          - cho_logdet(spd_factor(lam * np.asarray(S))), delta)
 
 
 def adaptive_ellipsoid(estimate, Omega, S, lam, delta):

@@ -12,7 +12,7 @@ from .estimators import (_on_simplex, _ridge_solves, _weighted_info_matrices,
                          info_matrix_interp, weighted_info_matrix)
 from .functionals import FunctionalFamily, gradient_functional
 from .features import PriorOperator, evaluate_design_matrix
-from .linalg import solve_spd, sym
+from .linalg import min_eig, solve_spd, sym
 
 
 class Allocation:
@@ -70,7 +70,7 @@ class DesignObjective:
 
 def _scalarize(kind, W):
     if kind == "E":
-        return float(np.linalg.eigvalsh(sym(W)).min())
+        return min_eig(W)
     return float(np.trace(W))
 
 
@@ -399,7 +399,7 @@ def gradient_design_geometry_check(feature_map, x, h_grid, V0=None):
         C = gradient_functional(feature_map, x)
         W = weighted_info_matrix(X, np.full(len(pts), 1.0 / len(pts)),
                                  C, V0, "interp")
-        val = 1.0 / float(np.linalg.eigvalsh(sym(W.matrix)).min())
+        val = 1.0 / min_eig(W.matrix)
         table.append((h, val))
     c = max((val - d * h) / h ** 2 for h, val in table[:2])
     bound_holds = all(val <= d * h + c * h ** 2 + 1e-9 * (1 + abs(val))

@@ -2,10 +2,11 @@
 
 Every SPD solve, inverse, log-determinant and rank check of the library goes
 through cho_spd: one LAPACK Cholesky factorization (dpotrf, in numpy) and
-LAPACK's O(n^2) estimate of its reciprocal condition (dpocon); solves reuse
-the factor (dpptrs).  numpy and scipy load separate OpenBLAS copies; with two
-BLAS threads, alternating threaded calls between them made scenarios several
-times slower, so scipy only runs level-2 work, which OpenBLAS does not thread.
+LAPACK's O(n^2) estimate of its reciprocal condition (dpocon); solves
+(dpptrs), log-dets and quadratic forms reuse the factor.  numpy and scipy load
+separate OpenBLAS copies; with two BLAS threads, alternating threaded calls
+between them made scenarios several times slower, so scipy only runs level-2
+work, which OpenBLAS does not thread.
 """
 
 import warnings
@@ -57,7 +58,21 @@ def cho_spd(a):
     return c, rcond
 
 
-def _cho_solve(c, b):
+def spd_factor(a):
+    """Lower Cholesky factor of SPD a; IllConditionedWarning when the
+    estimated condition number exceeds 1e12, LinAlgError when a is not
+    numerically positive definite."""
+    c, rcond = cho_spd(a)
+    if rcond * COND_WARN < 1.0:
+        cond = np.inf if rcond == 0.0 else 1.0 / rcond
+        warnings.warn(f"solving system with condition number {cond:.3e}",
+                      IllConditionedWarning, stacklevel=2)
+    if c is None:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return c
+
+
+def cho_solve(c, b):
     """Solve (c c^T) x = b for the lower Cholesky factor c."""
     n = c.shape[0]
     packed = c.T[np.tri(n, dtype=bool).T]       # lower triangle by columns
@@ -65,25 +80,30 @@ def _cho_solve(c, b):
     return x.reshape(b.shape)
 
 
+def cho_logdet(c):
+    """log det(c c^T) = 2 sum log diag c for the lower Cholesky factor c."""
+    return 2.0 * float(np.sum(np.log(np.diag(c))))
+
+
+def cho_quad_rows(c, x):
+    """Row-wise quadratic forms x_i^T (c c^T)^{-1} x_i = |c^{-1} x_i|^2,
+    from one inverse of c and one matrix product, both in numpy's BLAS."""
+    y = x @ np.linalg.inv(c).T
+    return np.einsum("ij,ij->i", y, y)
+
+
 def solve_spd(a, b):
     """Solve a @ x = b for symmetric positive definite a.
 
-    Uses Cholesky; falls back to an SVD pseudo-solve when the
-    factorization fails.  An estimated condition number beyond 1e12
-    produces a warning, never an error.
+    Uses spd_factor, so an estimated condition number beyond 1e12 produces
+    a warning, never an error; falls back to an SVD pseudo-solve when the
+    factorization fails.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    c, rcond = cho_spd(a)
-    if rcond * COND_WARN < 1.0:
-        cond = np.inf if rcond == 0.0 else 1.0 / rcond
-        warnings.warn(
-            f"solving system with condition number {cond:.3e}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    if c is None:
+    try:
+        return cho_solve(spd_factor(a), b)
+    except np.linalg.LinAlgError:
         return pinv(sym(np.asarray(a, dtype=float))) @ b
-    return _cho_solve(c, b)
 
 
 def solve_spd_checked(a, b, message):
@@ -95,7 +115,7 @@ def solve_spd_checked(a, b, message):
     c, rcond = cho_spd(a)
     if rcond <= RCOND_MIN:
         raise ValueError(message)
-    return _cho_solve(c, np.asarray(b, dtype=float))
+    return cho_solve(c, np.asarray(b, dtype=float))
 
 
 def inv_spd(a):

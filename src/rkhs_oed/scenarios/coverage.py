@@ -4,8 +4,8 @@ import os
 
 import numpy as np
 
-from ..confidence import xi
-from ..estimators import info_matrix_interp, info_matrix_ridge
+from ..confidence import anytime_radius, xi
+from ..estimators import _info_from_weights, _ridge_solves, info_matrix_ridge
 from ..features import PriorOperator
 from ..functionals import LinearFunctional, interpolation_weights, \
     relative_bias
@@ -40,12 +40,12 @@ def _coverage_fixed(cfg, kind, rng):
     if kind == "fixed_interp":
         L, Xu = interpolation_weights(C, X, V0)
         ests = Y @ L.T
-        W = info_matrix_interp(X, C, V0)
+        W = _info_from_weights(L)
         nu = relative_bias(C, X, V0)
         radius = sigma * np.sqrt(xi(delta, pdim)) + nu / np.sqrt(lam)
     elif kind == "fixed_ridge":
-        A = sigma ** 2 * lam * np.eye(m) + X.T @ X
-        ests = Y @ (X @ np.linalg.solve(A, Cm.T))
+        (AinvCt,) = _ridge_solves(X, [Cm], V0, lam, sigma)
+        ests = Y @ (X @ AinvCt)
         W = info_matrix_ridge(X, C, V0, lam, sigma)
         radius = np.sqrt(xi(delta, pdim)) + 1.0
     else:
@@ -87,8 +87,7 @@ def _coverage_adaptive(cfg, rng):
         omega += z ** 2 / sigma ** 2
         num += z * y / sigma ** 2
         est = num / omega
-        radius = np.sqrt(2 * (np.log(1.0 / delta)
-                              + 0.5 * np.log(omega / lam))) + 1.0
+        radius = anytime_radius(np.log(omega / lam), delta)
         dev = np.abs(est - target) * np.sqrt(omega)
         ratio = dev / radius
         max_ratio = np.maximum(max_ratio, ratio)

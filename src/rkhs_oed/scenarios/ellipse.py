@@ -10,6 +10,7 @@ from ..estimators import Dataset, info_matrix_adaptive, info_matrix_ridge, \
     ridge
 from ..features import PriorOperator
 from ..functionals import LinearFunctional, project_data
+from ..linalg import solve_spd
 from .common import ensure_dir, spawn_rngs, timer, write_csv, write_meta
 
 CSV_HEADER = ("set_kind", "design_kind", "interval_lo", "interval_hi")
@@ -44,8 +45,7 @@ def run_ellipse_demo(cfg, out_dir=None):
                             ("projected", C2, np.array([1.0, 0.0]))):
             pd = project_data(X, C, V0)
             Omega = info_matrix_adaptive(pd, cfg.lam, cfg.sigma)
-            center = np.linalg.solve(Omega.matrix,
-                                     pd.Z.T @ y / cfg.sigma ** 2)
+            center = solve_spd(Omega.matrix, pd.Z.T @ y / cfg.sigma ** 2)
             e = adaptive_ellipsoid(center, Omega, pd.S, cfg.lam, cfg.delta)
             lo, hi = interval(e, u)
             rows.append(("adaptive", label, lo, hi))

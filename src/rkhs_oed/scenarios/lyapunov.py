@@ -11,9 +11,10 @@ import os
 
 import numpy as np
 
-from ..confidence import adaptive_radius
-from ..estimators import ADAPTIVE_OMEGA, InfoMatrix
+from ..confidence import anytime_radius
 from ..features import nystrom_features, se_kernel
+from ..linalg import (cho_logdet, cho_quad_rows, cho_solve, solve_spd,
+                      spd_factor)
 from .common import ensure_dir, spawn_rngs, timer, write_csv, write_meta
 
 CSV_HEADER = ("seed", "step", "strategy", "set_kind", "sup_dV_bound",
@@ -33,17 +34,22 @@ def argmax_lowest(scores):
     return int(np.flatnonzero(scores >= best - TIE_RTOL * abs(best))[0])
 
 
+def _grid(region, k):
+    """k x k grid on [-region, region]^2, rows in meshgrid "ij" order."""
+    ax = np.linspace(-region, region, k)
+    return np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
+
+
 def _true_dynamics_matrix(fm, region, fit_grid, a_norm):
     """Fit A so that A phi(x) tracks a damped-pendulum field, then normalize
     ||A||_F = a_norm so the isotropic prior ball at lam=1 contains vec(A).
     The normalized A *defines* the ground-truth dynamics."""
-    ax = np.linspace(-region, region, fit_grid)
-    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
+    pts = _grid(region, fit_grid)
     Phi = fm(pts)                                         # N x m
     F = np.stack([pts[:, 1], -np.sin(pts[:, 0]) - 0.5 * pts[:, 1]],
                  axis=1)                                  # N x 2
     G = Phi.T @ Phi + 1e-8 * np.eye(fm.dim)
-    A = np.linalg.solve(G, Phi.T @ F).T                   # 2 x m
+    A = solve_spd(G, Phi.T @ F).T                         # 2 x m
     return A * (a_norm / np.linalg.norm(A))
 
 
@@ -64,14 +70,10 @@ def run_lyapunov_scenario(cfg, out_dir=None):
     p = cfg.params
     with timer() as tm:
         region = p["region"]
-        kern = se_kernel(p["lengthscale"])
-        ax = np.linspace(-region, region, p["landmarks_per_axis"])
-        landmarks = np.stack(np.meshgrid(ax, ax, indexing="ij"),
-                             -1).reshape(-1, 2)
-        fm = nystrom_features(kern, landmarks)
+        fm = nystrom_features(se_kernel(p["lengthscale"]),
+                              _grid(region, p["landmarks_per_axis"]))
         m = fm.dim
         A_true = _true_dynamics_matrix(fm, region, p["fit_grid"], p["a_norm"])
-        theta_true = A_true.ravel()                        # vec by rows: (2, m)
         lam, sigma, delta, gain = cfg.lam, cfg.sigma, cfg.delta, p["gain"]
 
         tube_x, tube_z = _tube_points(p["n_angles"], p["tube_width"])
@@ -79,7 +81,8 @@ def run_lyapunov_scenario(cfg, out_dir=None):
         # tube functionals C_x = 2 vec(z phi(x)^T): row blocks per component
         M_tube = 2.0 * np.concatenate(
             [tube_z[:, [0]] * Phi_tube, tube_z[:, [1]] * Phi_tube], axis=1)
-        damp = 2.0 * gain * np.sum(tube_z ** 2, axis=1)    # 2K ||z||^2 per point
+        zz = np.sum(tube_z ** 2, axis=1)                   # ||z||^2 per point
+        damp = 2.0 * gain * zz                             # 2K ||z||^2
 
         # reduced orthonormal basis for the tube functional span
         _, sv, vt = np.linalg.svd(M_tube, full_matrices=False)
@@ -91,21 +94,24 @@ def run_lyapunov_scenario(cfg, out_dir=None):
         # ground-truth sanity: perfect model, beta = 0
         gt_sup = float(np.max(-damp))
 
-        cand_ax = np.linspace(-region, region, p["candidate_grid"])
-        cand = np.stack(np.meshgrid(cand_ax, cand_ax, indexing="ij"),
-                        -1).reshape(-1, 2)
-        Phi_cand = fm(cand)
+        cand = _grid(region, p["candidate_grid"])
+        n_tube = len(tube_x)
+        Phi_tube_cand = np.concatenate([Phi_tube, fm(cand)])
 
         rows = []
         cert_steps = {}
         rngs = spawn_rngs(cfg.seed, p["n_seeds"])
         for seed_i, rng in enumerate(rngs):
             for strategy in p["strategies"]:
-                # per-arm state
+                # per-arm state; quadratic forms under B^{-1} and Omega^{-1}
+                # come from the latest factors, one of each per step
                 B = lam * sigma ** 2 * np.eye(m)           # ridge gram block
                 Omega = lam * np.eye(r)                    # our set (S = I_r)
                 zy = np.zeros(r)
                 Xty = np.zeros((m, 2))
+                rows_B = Phi_tube_cand if strategy == "unc" else Phi_tube
+                q_B = cho_quad_rows(spd_factor(B), rows_B)
+                q_ours = cho_quad_rows(spd_factor(Omega), G_tube)
                 cert = {"ours": None, "baseline": None}
                 for step in range(1, p["max_steps"] + 1):
                     # pick query
@@ -117,15 +123,9 @@ def run_lyapunov_scenario(cfg, out_dir=None):
                                                 p["tube_width"])
                         x = rad * np.array([np.sin(a), np.cos(a)])
                     elif strategy == "unc":
-                        scores = np.einsum(
-                            "ij,ji->i", Phi_cand,
-                            np.linalg.solve(B, Phi_cand.T))
-                        x = cand[argmax_lowest(scores)]
+                        x = cand[argmax_lowest(q_B[n_tube:])]
                     elif strategy == "unc-ref":
-                        scores = np.einsum(
-                            "ij,ji->i", G_tube, np.linalg.solve(Omega,
-                                                                G_tube.T))
-                        x = tube_x[argmax_lowest(scores)]
+                        x = tube_x[argmax_lowest(q_ours)]
                     else:
                         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -136,33 +136,28 @@ def run_lyapunov_scenario(cfg, out_dir=None):
                     zrows = Ct_blocks @ phi                # r x 2
                     Omega += (zrows @ zrows.T) / sigma ** 2
                     zy += zrows @ y / sigma ** 2
+                    c_B, c_Omega = spd_factor(B), spd_factor(Omega)
+                    q_B = cho_quad_rows(c_B, rows_B)
+                    q_ours = cho_quad_rows(c_Omega, G_tube)
 
                     # full ridge estimate (controller model)
-                    theta_full = np.linalg.solve(B, Xty).T.ravel()
+                    theta_full = cho_solve(c_B, Xty).T.ravel()
 
                     # ours: projected center + anytime radius
-                    c_hat = np.linalg.solve(Omega, zy)
-                    beta_ours = adaptive_radius(
-                        InfoMatrix(Omega, ADAPTIVE_OMEGA), np.eye(r), lam,
-                        delta)
-                    unc_ours = np.sqrt(np.maximum(np.einsum(
-                        "ij,ji->i", G_tube,
-                        np.linalg.solve(Omega, G_tube.T)), 0.0))
+                    c_hat = cho_solve(c_Omega, zy)
+                    beta_ours = anytime_radius(
+                        cho_logdet(c_Omega) - r * np.log(lam), delta)
                     center_shift = G_tube @ (c_hat - Ct @ theta_full)
-                    sup_ours = float(np.max(center_shift
-                                            + beta_ours * unc_ours - damp))
+                    sup_ours = float(np.max(
+                        center_shift + beta_ours * np.sqrt(q_ours) - damp))
 
                     # baseline: full-space self-normalized set through C_x;
                     # theta = vec(A) has two identical gram blocks, so the
                     # full-space log-det ratio is twice the block's
-                    sgn, logdet_B = np.linalg.slogdet(
-                        B / (lam * sigma ** 2))
-                    beta_base = np.sqrt(2 * (np.log(1.0 / delta)
-                                             + logdet_B)) + 1.0
-                    q = np.einsum("ij,ji->i", Phi_tube,
-                                  np.linalg.solve(B, Phi_tube.T))
-                    unc_base = 2.0 * sigma * np.sqrt(np.maximum(
-                        np.sum(tube_z ** 2, axis=1) * q, 0.0))
+                    beta_base = anytime_radius(2.0 * (
+                        cho_logdet(c_B) - m * np.log(lam * sigma ** 2)),
+                        delta)
+                    unc_base = 2.0 * sigma * np.sqrt(zz * q_B[:n_tube])
                     sup_base = float(np.max(beta_base * unc_base - damp))
 
                     for kind, sup in (("ours", sup_ours),

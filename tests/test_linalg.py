@@ -1,10 +1,13 @@
 """Tests for the shared linear-algebra helpers."""
 
+import ast
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+import rkhs_oed
 from rkhs_oed.linalg import (IllConditionedWarning, dedupe_rows, inv_spd,
                              min_eig, pinv, solve_spd, sym)
 
@@ -134,3 +137,44 @@ def test_dedupe_rows_no_duplicates_is_identity():
     xu, yu = dedupe_rows(x, y)
     assert np.array_equal(xu, x)
     assert np.array_equal(yu, y)
+
+
+# numpy.linalg routines that factor, invert or take determinants; outside
+# rkhs_oed.linalg they would bypass its one Cholesky path and its
+# ill-conditioning checks
+FACTORING = {"solve", "inv", "slogdet", "det", "cholesky"}
+
+
+def _factoring_uses(source):
+    """(line, name) of every np.linalg / numpy.linalg routine in FACTORING
+    that source references or imports."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in FACTORING
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            uses.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module == "numpy.linalg"):
+            uses += [(node.lineno, a.name) for a in node.names
+                     if a.name in FACTORING]
+    return sorted(uses)
+
+
+def test_factoring_scan_finds_every_form():
+    source = ("import numpy as np\nfrom numpy.linalg import det\n"
+              "x = np.linalg.solve(a, b)\nf = numpy.linalg.cholesky\n"
+              "y = np.linalg.svd(a)\n")
+    assert _factoring_uses(source) == [(2, "det"), (3, "solve"),
+                                       (4, "cholesky")]
+
+
+def test_only_linalg_module_factors_matrices():
+    root = pathlib.Path(rkhs_oed.__file__).parent
+    found = [f"{path.relative_to(root)}:{line} {name}"
+             for path in sorted(root.rglob("*.py"))
+             if path != root / "linalg.py"
+             for line, name in _factoring_uses(path.read_text())]
+    assert found == []

@@ -19,7 +19,7 @@ class Allocation:
     """Support points with simplex weights and optional rounded counts."""
 
     def __init__(self, support_points, X, eta, counts=None, budget=None,
-                 objective_value=None, trace=None):
+                 objective_value=None, trace=None, min_spread=None):
         eta = np.asarray(eta, dtype=float).reshape(-1)
         if not _on_simplex(eta):
             raise ValueError("eta must lie on the probability simplex")
@@ -30,6 +30,10 @@ class Allocation:
         self.budget = budget
         self.objective_value = objective_value
         self.trace = list(trace) if trace is not None else None
+        # greedy only: the smallest (best - worst) / |best| of the candidate
+        # scores over its steps; near roundoff, the objective did not tell
+        # the candidates apart
+        self.min_spread = min_spread
 
     @property
     def n(self):
@@ -249,7 +253,9 @@ def greedy_design(obj, candidate_points, budget, X_cand=None,
     unnormalized counts design, i.e. the accumulated information, which is
     non-decreasing in t; the objective of the normalized allocation is not
     monotone (appending any count to an already optimal allocation must
-    perturb the weights).
+    perturb the weights).  Each step scores every candidate from one
+    factorization (_candidate_scores); the Allocation records the smallest
+    relative spread of those scores over the steps.
     """
     if obj.estimator_kind != "ridge":
         raise ValueError("greedy_design supports the ridge estimator only; "
@@ -270,21 +276,59 @@ def greedy_design(obj, candidate_points, budget, X_cand=None,
     if budget < t:
         raise ValueError(f"budget {budget} below seed size {t}")
     trace = [min(_member_values(obj, X_cand, counts.astype(float)))]
+    min_spread = None
     while t < budget:
-        best_j, best_val = -1, -np.inf
-        base = counts.astype(float)
-        for j in range(n):
-            base[j] += 1.0
-            val = evaluate_objective(obj, X_cand, base / (t + 1))
-            base[j] -= 1.0
-            if val > best_val:
-                best_val, best_j = val, j
-        counts[best_j] += 1
+        scores = _candidate_scores(obj, X_cand, counts)
+        best = scores.max()
+        spread = float((best - scores.min()) / abs(best))
+        min_spread = spread if min_spread is None else min(min_spread, spread)
+        # argmax takes the first maximum: the lowest index wins exact ties
+        counts[int(np.argmax(scores))] += 1
         t += 1
         trace.append(min(_member_values(obj, X_cand, counts.astype(float))))
     eta = counts / budget
     return Allocation(candidate_points, X_cand, eta, counts=counts,
-                      budget=budget, objective_value=trace[-1], trace=trace)
+                      budget=budget, objective_value=trace[-1], trace=trace,
+                      min_spread=min_spread)
+
+
+def _candidate_scores(obj, X_cand, counts):
+    """Ridge objective of (counts + e_j) / (t + 1) for every candidate j,
+    with t = sum(counts): the greedy step's scores.
+
+    Each candidate adds x_j x_j^T / (t + 1) to the same base
+    A_0 = sigma^2 lam V0 + X^T D(counts / (t + 1)) X, so one factor of A_0
+    serves them all (Sherman-Morrison; Fedorov 1972, Theory of Optimal
+    Experiments).  For each functional C, with G = C A_0^{-1} C^T,
+    v_j = C A_0^{-1} x_j and d_j = t + 1 + x_j^T A_0^{-1} x_j,
+    M_j = C A_j^{-1} C^T = G - v_j v_j^T / d_j and W_j = M_j^{-1} / sigma^2.
+    T: tr M_j^{-1} = tr G^{-1} + |G^{-1} v_j|^2 / (d_j - v_j^T G^{-1} v_j).
+    E: lambda_min(W_j) = 1 / (sigma^2 lambda_max(M_j)), from one stacked
+    eigvalsh of the (n, p, p) matrices M_j.  Robust objectives take the
+    minimum over the family.
+    """
+    sigma, t1 = obj.sigma, counts.sum() + 1.0
+    Xw = np.sqrt(counts / t1)[:, None] * X_cand
+    Cms = [C.matrix for C in obj._functionals()]
+    *SCs, SX = _ridge_solves(Xw, Cms + [X_cand], obj._v0(X_cand.shape[1]),
+                             obj.lam, sigma)
+    d = t1 + np.einsum("ij,ji->i", X_cand, SX)
+    scores = np.full(X_cand.shape[0], np.inf)
+    for Cm, SCm in zip(Cms, SCs):
+        G, V = sym(Cm @ SCm), Cm @ SX           # column j of V is v_j
+        p = G.shape[0]
+        if obj.kind == "T":
+            R = solve_spd(G, np.hstack([np.eye(p), V]))
+            GinvV = R[:, p:]
+            val = (np.trace(R[:, :p]) + np.sum(GinvV ** 2, axis=0)
+                   / (d - np.sum(V * GinvV, axis=0)))
+        else:
+            M = np.einsum("in,jn->nij", V, V)
+            M /= -d[:, None, None]
+            M += G
+            val = 1.0 / np.linalg.eigvalsh(M)[:, -1]
+        scores = np.minimum(scores, val / sigma ** 2)
+    return scores
 
 
 def _simplex_lattice(n, resolution):

@@ -74,9 +74,18 @@ class PriorOperator:
         self.is_identity = bool(np.array_equal(matrix, np.eye(self.dim)))
         self._w = w
         self._u = u
+        self._inv = None
 
     def inv(self):
-        return (self._u / self._w) @ self._u.T
+        """V0^{-1}, formed on the first call and cached.
+
+        Every call returns the same read-only array; copy it before
+        writing to it.
+        """
+        if self._inv is None:
+            self._inv = (self._u / self._w) @ self._u.T
+            self._inv.flags.writeable = False
+        return self._inv
 
     def isqrt(self):
         """V0^{-1/2}."""

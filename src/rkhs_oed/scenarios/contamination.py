@@ -48,7 +48,12 @@ def contamination_features(n_freq):
 
 def _pipeline_design(obj, cand_pts, X_cand, greedy_budget, greedy_seeds,
                      mirror_iters):
-    """Greedy support selection followed by mirror-descent weight refinement."""
+    """Greedy support selection followed by mirror-descent weight refinement.
+
+    Also returns the smallest relative spread of greedy's candidate scores
+    over its steps (None without a step): near roundoff, the objective did
+    not tell the candidates apart.
+    """
     n = X_cand.shape[0]
     seeds = np.unique(np.linspace(0, n - 1, greedy_seeds).round().astype(int))
     g = greedy_design(obj, cand_pts, greedy_budget, X_cand=X_cand,
@@ -59,7 +64,7 @@ def _pipeline_design(obj, cand_pts, X_cand, greedy_budget, greedy_seeds,
                                   iters=mirror_iters)
     eta_full = np.zeros(n)
     eta_full[keep] = alloc.eta
-    return alloc, eta_full
+    return alloc, eta_full, g.min_spread
 
 
 def run_contamination_scenario(cfg, out_dir=None):
@@ -77,10 +82,11 @@ def run_contamination_scenario(cfg, out_dir=None):
         C_full = LinearFunctional(np.eye(m), label="full coefficient vector")
         designs = {}
         etas = {}
+        spreads = {}
         for name, C in (("aware", C_target), ("full", C_full)):
-            obj = DesignObjective("E", "ridge", C, lam=cfg.lam,
+            obj = DesignObjective("E", "ridge", C, V0=V0, lam=cfg.lam,
                                   sigma=cfg.sigma)
-            designs[name], etas[name] = _pipeline_design(
+            designs[name], etas[name], spreads[name] = _pipeline_design(
                 obj, cand_pts, X_cand, p["greedy_budget"], p["greedy_seeds"],
                 p["mirror_iters"])
 
@@ -104,7 +110,7 @@ def run_contamination_scenario(cfg, out_dir=None):
                                         counts[counts > 0])
                     X = X_cand[idx]
                     y = X @ theta + cfg.sigma * rng.standard_normal(len(idx))
-                    ds = Dataset(X, y, cfg.sigma, lam=cfg.lam)
+                    ds = Dataset(X, y, cfg.sigma, V0=V0, lam=cfg.lam)
                     alpha_hat = float(ridge(ds, C_target)[0])
                     sq_err[(b, kind)].append(
                         (alpha_hat - p["alpha_true"]) ** 2)
@@ -115,7 +121,8 @@ def run_contamination_scenario(cfg, out_dir=None):
                              CSV_HEADER, rows)
     extra = {"designs": {k: {"eta": a.eta.tolist(),
                              "support": [pt.tolist()
-                                         for pt in a.support_points]}
+                                         for pt in a.support_points],
+                             "greedy_min_spread": spreads[k]}
                          for k, a in designs.items()}}
     write_meta(out_dir, cfg, tm.seconds, extra)
     return {"csv": csv_path, "rows": rows, "designs": designs}

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rkhs_oed import design
+from rkhs_oed import design, linalg
 from rkhs_oed.design import (Allocation, DesignObjective,
                              balance_bias_variance, evaluate_objective,
                              gradient_design_geometry_check, greedy_design,
@@ -198,6 +198,35 @@ def test_greedy_trace_is_nondecreasing():
     t = np.array(alloc.trace)
     assert np.all(np.diff(t) >= -1e-9)
     assert alloc.counts.sum() == 20
+
+
+def test_greedy_factorizations_per_step_do_not_grow_with_candidates(
+        monkeypatch):
+    # one factorization of the base matrix scores every candidate, so the
+    # Cholesky count of a greedy step is the same for 8 and 32 candidates
+    calls = []
+    cho_spd = linalg.cho_spd
+
+    def counting(a):
+        calls.append(a.shape)
+        return cho_spd(a)
+
+    monkeypatch.setattr(linalg, "cho_spd", counting)
+    rng = np.random.default_rng(7)
+    mats = [rng.standard_normal((2, 5)) for _ in range(3)]
+    family = FunctionalFamily(lambda g: LinearFunctional(mats[g]), range(3))
+    for kind in ("E", "T"):
+        obj = DesignObjective(kind, "ridge", family, lam=1.0, sigma=1.0)
+        per_step = []
+        for n in (8, 32):
+            X = rng.standard_normal((n, 5))
+            made = []
+            for steps in (1, 3):
+                calls.clear()
+                greedy_design(obj, list(range(n)), 3 + steps, X_cand=X)
+                made.append(len(calls))
+            per_step.append((made[1] - made[0]) / 2)
+        assert per_step[0] == per_step[1] > 0
 
 
 def test_greedy_rejects_interp_and_small_budget():

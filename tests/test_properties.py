@@ -10,9 +10,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rkhs_oed import design
 from rkhs_oed.confidence import adaptive_radius, anytime_radius
 from rkhs_oed.design import (DesignObjective, evaluate_objective,
-                             objective_gradient)
+                             greedy_design, objective_gradient)
 from rkhs_oed.estimators import (ADAPTIVE_OMEGA, Dataset, InfoMatrix,
                                  info_matrix_interp, info_matrix_ridge,
                                  interpolate, residual_covariance_bound,
@@ -229,6 +230,75 @@ def test_gradient_is_a_supergradient(seed, n, p, size, kind, estimator,
     for eta2 in _weights(rng, n, size=5):
         assert evaluate_objective(obj, X, eta2) <= \
             f + g @ (eta2 - eta) + 1e-12 * max(1.0, abs(f))
+
+
+def _loop_scores(obj, X, counts):
+    """Reference greedy step: evaluate_objective of (counts + e_j)/(t + 1),
+    one candidate j at a time."""
+    base = counts.astype(float)
+    t = base.sum()
+    scores = []
+    for j in range(X.shape[0]):
+        base[j] += 1.0
+        scores.append(evaluate_objective(obj, X, base / (t + 1)))
+        base[j] -= 1.0
+    return np.array(scores)
+
+
+def _loop_greedy(obj, X, seeds, budget):
+    """Reference greedy: the per-candidate loop with its strict '>' rule.
+    Returns the counts, the smallest relative spread of the steps' scores
+    and the smallest relative top-2 margin."""
+    counts = np.zeros(X.shape[0], dtype=int)
+    counts[seeds] += 1
+    spread, margin = [], []
+    while counts.sum() < budget:
+        scores = _loop_scores(obj, X, counts)
+        best_j, best_val = -1, -np.inf
+        for j, val in enumerate(scores):
+            if val > best_val:
+                best_val, best_j = val, j
+        ranked = np.sort(scores)[::-1]
+        spread.append((ranked[0] - ranked[-1]) / abs(ranked[0]))
+        margin.append((ranked[0] - ranked[1]) / abs(ranked[0]))
+        counts[best_j] += 1
+    return counts, min(spread), min(margin)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 10), st.integers(1, 8),
+       st.integers(1, 3), st.integers(1, 3), st.sampled_from(["E", "T"]),
+       st.integers(1, 3))
+def test_greedy_scores_equal_the_candidate_loop(seed, n, m, p, size, kind,
+                                                steps):
+    # every candidate is a rank-one update of one base matrix, so the
+    # batched scores are the per-candidate objectives up to roundoff, and
+    # greedy picks the loop's candidate wherever the loop's top two differ
+    # by more than 1e-6 relative
+    rng = np.random.default_rng(seed)
+    p = min(p, m)
+    X = rng.standard_normal((n, m))
+    mats = [rng.standard_normal((p, m)) for _ in range(size)]
+    functional = (LinearFunctional(mats[0]) if size == 1 else
+                  FunctionalFamily(lambda g: LinearFunctional(mats[g]),
+                                   range(size)))
+    U = _orthogonal(rng, m)
+    V0 = PriorOperator((U * rng.uniform(0.5, 2.0, m)) @ U.T)
+    obj = DesignObjective(kind, "ridge", functional, V0=V0, lam=LAM,
+                          sigma=SIGMA)
+    counts = rng.integers(0, 4, n)
+    ref = _loop_scores(obj, X, counts)
+    scores = design._candidate_scores(obj, X, counts)
+    assert np.all(np.abs(scores - ref) <= 1e-9 * np.abs(ref))
+
+    seeds = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+    budget = seeds.size + steps
+    loop_counts, spread, margin = _loop_greedy(obj, X, seeds, budget)
+    if margin > 1e-6:
+        g = greedy_design(obj, list(range(n)), budget, X_cand=X,
+                          seed_indices=seeds)
+        assert np.array_equal(g.counts, loop_counts)
+        assert abs(g.min_spread - spread) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
